@@ -156,7 +156,43 @@ void BM_MaxCutVertexCoverScaling(benchmark::State& state) {
   state.counters["window"] = static_cast<double>(window);
   state.counters["cover"] = cover;
 }
-BENCHMARK(BM_MaxCutVertexCoverScaling)->RangeMultiplier(2)->Range(4, 32);
+BENCHMARK(BM_MaxCutVertexCoverScaling)->RangeMultiplier(2)->Range(4, 128);
+
+void BM_MaxCutVertexCoverSkipRing(benchmark::State& state) {
+  // The cover kernel alone on the closure shape the LR-bound sampler
+  // meets on cross-neq skip rings: the 3-register, 3-state skip ring with
+  // inequality constraints s0 .* s1 and s1 .* s2, a lasso mixing ring and
+  // skip transitions, at the sampler's large pump. The closure is built
+  // once; each iteration is one MaxCutVertexCoverOfClosure on a warm
+  // per-worker scratch.
+  ExtendedAutomaton era = bench::MakeShiftRingSearchEra(3, 3, false);
+  const RegisterPair r00{RegisterId(0), RegisterId(0)};
+  RAV_CHECK(era.AddConstraintFromText(r00, false, "s0 .* s1").ok());
+  RAV_CHECK(era.AddConstraintFromText(r00, false, "s1 .* s2").ok());
+  ControlAlphabet alphabet(era.automaton());
+  // Ring s0 -> s1 -> s2 -> s0, then skip s0 -> s2 and ring s2 -> s0.
+  LassoWord lasso;
+  for (int t : {0, 1, 2, 3, 2}) {
+    lasso.cycle.push_back(alphabet.SymbolOfTransition(t).value());
+  }
+  const size_t pump_large =
+      2 * (2 * static_cast<size_t>(era.MaxConstraintDfaStates()) + 2);
+  ConstraintClosure closure(era, alphabet, lasso,
+                            lasso.cycle.size() * pump_large);
+  RAV_CHECK(closure.consistent());
+  CoverScratch scratch;
+  int cover = 0;
+  for (auto _ : state) {
+    cover = MaxCutVertexCoverOfClosure(closure, &scratch);
+    benchmark::DoNotOptimize(cover);
+  }
+  state.counters["window"] = static_cast<double>(closure.window());
+  state.counters["classes"] = closure.num_classes();
+  state.counters["edges"] =
+      static_cast<double>(closure.InequalityEdges().size());
+  state.counters["cover"] = cover;
+}
+BENCHMARK(BM_MaxCutVertexCoverSkipRing);
 
 }  // namespace
 }  // namespace rav

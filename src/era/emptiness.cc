@@ -1,5 +1,6 @@
 #include "era/emptiness.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 
@@ -17,6 +18,10 @@ namespace {
 size_t WindowLength(const LassoWord& w, size_t pump) {
   return w.prefix.size() + w.cycle.size() * pump;
 }
+
+// Cycle pumps of the probe window a candidate is closed over before the
+// full window. Two cycles hold every factor that wraps the cycle seam once.
+constexpr size_t kProbePump = 2;
 
 // Translates a witness found on the stripped automaton back into the
 // caller's alphabet: a stripped symbol (q', δ) maps to the original
@@ -241,16 +246,28 @@ EraEmptinessResult SearchConsistentLasso(const ExtendedAutomaton& era,
   auto evaluate = [&](const LassoCandidate& candidate,
                       LassoWorkerCounters& counters) -> LassoVerdict {
     const LassoWord& lasso = candidate.word;
-    const size_t window = WindowLength(lasso, pump);
+    // Every equality and inequality of a closure over a prefix of the
+    // window is also in the closure over the whole window, so a
+    // contradiction on the short probe window is a contradiction on the
+    // full one. Only a consistent probe is grown to the full pump, which
+    // spares all-reject searches most of each candidate's window.
+    const size_t probe_pump = std::min(pump, kProbePump);
     ++counters.closures_built;
-    ConstraintClosure closure(era, alphabet, lasso, window,
+    ConstraintClosure closure(era, alphabet, lasso,
+                              WindowLength(lasso, probe_pump),
                               &counters.scratch);
-    // Account this candidate's closure against the memory budget for as
-    // long as it is alive; the engine notices a trip before the next
+    // Account this candidate's closures against the memory budget for as
+    // long as they are alive; the engine notices a trip before the next
     // candidate is evaluated.
     ScopedMemoryCharge closure_charge(options.governor,
                                       closure.ApproxBytes());
     if (!closure.consistent()) return LassoVerdict::kInconsistent;
+    if (probe_pump < pump) {
+      ++counters.closures_extended;
+      closure = closure.ExtendedBy(pump - probe_pump, &counters.scratch);
+      closure_charge.Add(closure.ApproxBytes());
+      if (!closure.consistent()) return LassoVerdict::kInconsistent;
+    }
     if (has_database && options.check_unbounded_adom) {
       // Example 8 guard: if one more cycle strictly grows the largest
       // clique of G_w, no finite database can support the infinite

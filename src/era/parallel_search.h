@@ -10,6 +10,7 @@
 #include "base/governor.h"
 #include "compile/guard_tables.h"
 #include "era/constraint_graph.h"
+#include "era/cover_scratch.h"
 
 namespace rav {
 
@@ -155,13 +156,15 @@ struct LassoSearchOutcome {
 
 // Per-worker counters an evaluator reports into; each worker owns one, so
 // evaluators update them without synchronization. Merged into SearchStats.
-// Carries the worker's closure scratch buffer, so every closure an
-// evaluator builds on this worker reuses the same temporaries.
+// Carries the worker's closure and cover scratch buffers, so every
+// closure an evaluator builds, and every G^w_h cover it measures, on this
+// worker reuses the same temporaries.
 struct LassoWorkerCounters {
   size_t closures_built = 0;
   size_t closures_extended = 0;
   compile::GuardStats guard;  // compiled guard evaluations (witness checks)
   ClosureScratch scratch;
+  CoverScratch cover_scratch;
 };
 
 // Evaluates one candidate. Must be safe to call concurrently from several

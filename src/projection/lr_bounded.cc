@@ -1,8 +1,7 @@
 #include "projection/lr_bounded.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
+#include <atomic>
 
 #include "analysis/lint.h"
 #include "base/metrics.h"
@@ -10,52 +9,192 @@
 
 namespace rav {
 
-namespace {
-
-// Hopcroft-Karp is overkill at this scale; Kuhn's augmenting paths.
-class BipartiteMatcher {
+// The G^w_h cover sweep. A class is a left vertex of G^w_h iff its last
+// register occurrence is at or before h, a right vertex iff its first is
+// after h, so an inequality edge {a, b} is live exactly on the cuts
+// [max_pos(a), min_pos(b)) for its one orientation with
+// max_pos(a) < min_pos(b) (or on none). Sweeping h upward, left vertices
+// only join and right vertices only leave, and a maximum matching of the
+// previous cut minus the pairs of departed right vertices leaves no
+// augmenting path except from the left vertices that joined or were freed
+// at this cut (Berge). So one matching is carried across all cuts, with
+// at most one Kuhn augmentation per join and per freeing: at most
+// 2 · |classes| searches of O(|edges|) each per closure.
+class CoverSweep {
  public:
-  BipartiteMatcher(int n_left, int n_right)
-      : adj_(n_left), match_right_(n_right, -1) {}
-
-  void AddEdge(int l, int r) { adj_[l].push_back(r); }
-
-  int MaxMatching() {
-    int matching = 0;
-    for (int l = 0; l < static_cast<int>(adj_.size()); ++l) {
-      visited_.assign(match_right_.size(), false);
-      if (TryAugment(l)) ++matching;
-    }
-    return matching;
-  }
+  static int Run(const ConstraintClosure& closure, CoverScratch& s);
 
  private:
-  bool TryAugment(int l) {
-    for (int r : adj_[l]) {
-      if (visited_[r]) continue;
-      visited_[r] = true;
-      if (match_right_[r] < 0 || TryAugment(match_right_[r])) {
-        match_right_[r] = l;
+  // Kuhn's augmenting-path search from left class l over the right
+  // classes still right of cut s.cut_, visit marks stamped with s.epoch_.
+  // Each adjacency list is sorted by departure cut, latest first, so the
+  // live rights form a prefix; a free live right is taken before any path
+  // is followed through a matched one.
+  static bool TryAugment(CoverScratch& s, int l) {
+    const int begin = s.adj_.begin[l];
+    int end = begin;
+    while (end < s.adj_.begin[l + 1] &&
+           s.min_pos_[s.adj_.items[end]] > s.cut_) {
+      ++end;
+    }
+    for (int i = begin; i < end; ++i) {
+      const int r = s.adj_.items[i];
+      if (s.match_of_right_[r] < 0) {
+        s.match_of_right_[r] = l;
+        return true;
+      }
+    }
+    for (int i = begin; i < end; ++i) {
+      const int r = s.adj_.items[i];
+      if (s.seen_[r] == s.epoch_) continue;
+      s.seen_[r] = s.epoch_;
+      if (TryAugment(s, s.match_of_right_[r])) {
+        s.match_of_right_[r] = l;
         return true;
       }
     }
     return false;
   }
 
-  std::vector<std::vector<int>> adj_;
-  std::vector<int> match_right_;
-  std::vector<bool> visited_;
+  static void NextEpoch(CoverScratch& s) {
+    if (++s.epoch_ == 0) {  // wrapped: clear stale marks once
+      std::fill(s.seen_.begin(), s.seen_.end(), 0);
+      s.epoch_ = 1;
+    }
+  }
+
+  // Counting sort: groups value_of(i) for i in [0, n) by key_of(i),
+  // skipping keys outside [0, num_keys).
+  template <typename KeyOf, typename ValueOf>
+  static void GroupByKey(int n, KeyOf key_of, ValueOf value_of, int num_keys,
+                         CoverScratch::Csr& out) {
+    std::vector<int>& begin = out.begin;
+    begin.assign(num_keys + 1, 0);
+    for (int i = 0; i < n; ++i) {
+      const int key = key_of(i);
+      if (key >= 0 && key < num_keys) ++begin[key + 1];
+    }
+    for (int key = 0; key < num_keys; ++key) begin[key + 1] += begin[key];
+    out.items.resize(begin[num_keys]);
+    for (int i = 0; i < n; ++i) {
+      const int key = key_of(i);
+      if (key >= 0 && key < num_keys) out.items[begin[key]++] = value_of(i);
+    }
+    for (int key = num_keys; key > 0; --key) begin[key] = begin[key - 1];
+    begin[0] = 0;
+  }
 };
 
-}  // namespace
+int CoverSweep::Run(const ConstraintClosure& closure, CoverScratch& s) {
+  const int k = closure.num_registers();
+  const int window = static_cast<int>(closure.window());
+  const int num_classes = closure.num_classes();
+  const int num_cuts = window - 1;  // h = 0 .. window - 2
+  if (num_cuts <= 0) return 0;
 
-int BipartiteMinVertexCover(int n_left, int n_right,
-                            const std::vector<std::pair<int, int>>& edges) {
-  BipartiteMatcher matcher(n_left, n_right);
-  for (const auto& [l, r] : edges) matcher.AddEdge(l, r);
-  // König: in bipartite graphs, min vertex cover = max matching.
-  return matcher.MaxMatching();
+  // Span of each class. Constant classes span the whole window, so they
+  // straddle every cut and never carry a G^w_h edge.
+  s.min_pos_.assign(num_classes, window);
+  s.max_pos_.assign(num_classes, -1);
+  for (int n = 0; n < window; ++n) {
+    for (int i = 0; i < k; ++i) {
+      const int c = closure.ClassOf(closure.NodeOf(n, i));
+      s.min_pos_[c] = std::min(s.min_pos_[c], n);
+      s.max_pos_[c] = std::max(s.max_pos_[c], n);
+    }
+  }
+  for (int c = 0; c < closure.num_constants(); ++c) {
+    const int cls = closure.ClassOf(closure.ConstantNode(c));
+    s.min_pos_[cls] = 0;
+    s.max_pos_[cls] = window - 1;
+  }
+
+  // Orient every edge that is live on some cut, left -> right.
+  s.arcs_.clear();
+  s.role_.assign(num_classes, 0);
+  for (const auto& [a, b] : closure.InequalityEdges()) {
+    if (s.max_pos_[a] < 0 || s.max_pos_[b] < 0) continue;  // no occurrence
+    int l = a, r = b;
+    if (s.max_pos_[b] < s.min_pos_[a]) std::swap(l, r);
+    if (s.max_pos_[l] >= s.min_pos_[r]) continue;  // straddles every cut
+    s.arcs_.emplace_back(l, r);
+    s.role_[l] |= 1;
+    s.role_[r] |= 2;
+  }
+  if (s.arcs_.empty()) return 0;
+
+  // Adjacency, left class -> right classes, latest-departing rights
+  // first: they are the ones a match keeps longest, and the live rights
+  // at any cut become a prefix.
+  GroupByKey(
+      static_cast<int>(s.arcs_.size()),
+      [&](int i) { return s.arcs_[i].first; },
+      [&](int i) { return s.arcs_[i].second; }, num_classes, s.adj_);
+  for (int c = 0; c < num_classes; ++c) {
+    std::sort(s.adj_.items.begin() + s.adj_.begin[c],
+              s.adj_.items.begin() + s.adj_.begin[c + 1],
+              [&](int a, int b) { return s.min_pos_[a] > s.min_pos_[b]; });
+  }
+
+  // Arc tails join the left side at h = max_pos (<= window - 2); arc
+  // heads leave the right side at h = min_pos (those at h = window - 1
+  // are past the last cut and never leave).
+  const auto identity = [](int c) { return c; };
+  GroupByKey(
+      num_classes,
+      [&](int c) { return (s.role_[c] & 1) != 0 ? s.max_pos_[c] : -1; },
+      identity, num_cuts, s.joins_);
+  GroupByKey(
+      num_classes,
+      [&](int c) { return (s.role_[c] & 2) != 0 ? s.min_pos_[c] : -1; },
+      identity, num_cuts, s.departures_);
+
+  s.match_of_right_.assign(num_classes, -1);
+  if (s.seen_.size() < static_cast<size_t>(num_classes)) {
+    s.seen_.resize(num_classes, 0);
+  }
+  // Arc heads still right of the cut; once all are matched no augmenting
+  // path can end anywhere, so the cut's searches are skipped.
+  int live_rights = 0;
+  for (int c = 0; c < num_classes; ++c) live_rights += (s.role_[c] >> 1) & 1;
+  int matched = 0;
+  int best = 0;
+  for (int h = 0; h < num_cuts; ++h) {
+    s.cut_ = h;
+    s.pending_.clear();
+    const CoverScratch::Csr& departures = s.departures_;
+    for (int i = departures.begin[h]; i < departures.begin[h + 1]; ++i) {
+      --live_rights;
+      int& partner = s.match_of_right_[departures.items[i]];
+      if (partner < 0) continue;
+      s.pending_.push_back(partner);
+      partner = -1;
+      --matched;
+    }
+    s.pending_.insert(s.pending_.end(),
+                      s.joins_.items.begin() + s.joins_.begin[h],
+                      s.joins_.items.begin() + s.joins_.begin[h + 1]);
+    for (int l : s.pending_) {
+      if (matched == live_rights) break;
+      NextEpoch(s);
+      if (TryAugment(s, l)) ++matched;
+    }
+    // König: in bipartite graphs, min vertex cover = max matching.
+    best = std::max(best, matched);
+  }
+  return best;
 }
+
+namespace {
+
+// Callers that don't thread a CoverScratch (one-off measurements) fall
+// back to a per-thread instance, as the closure does for its scratch.
+CoverScratch& ThreadLocalCoverScratch() {
+  thread_local CoverScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 int MaxCutVertexCover(const ExtendedAutomaton& era,
                       const ControlAlphabet& alphabet, const LassoWord& lasso,
@@ -64,67 +203,12 @@ int MaxCutVertexCover(const ExtendedAutomaton& era,
   return MaxCutVertexCoverOfClosure(closure);
 }
 
-int MaxCutVertexCoverOfClosure(const ConstraintClosure& closure) {
+int MaxCutVertexCoverOfClosure(const ConstraintClosure& closure,
+                               CoverScratch* scratch) {
   RAV_METRIC_COUNT("projection/lr_bounded/cover_computations", 1);
-  const int k = closure.num_registers();
-  const size_t window = closure.window();
   if (!closure.consistent()) return -1;
-
-  // Span of each class: [min position, max position].
-  const int num_classes = closure.num_classes();
-  std::vector<int> min_pos(num_classes, static_cast<int>(window));
-  std::vector<int> max_pos(num_classes, -1);
-  for (size_t n = 0; n < window; ++n) {
-    for (int i = 0; i < k; ++i) {
-      int c = closure.ClassOf(closure.NodeOf(n, i));
-      min_pos[c] = std::min(min_pos[c], static_cast<int>(n));
-      max_pos[c] = std::max(max_pos[c], static_cast<int>(n));
-    }
-  }
-  // Constant classes span everything; treat them as straddling every cut
-  // (they never participate in G^w_h edges).
-  for (int c = 0; c < closure.num_constants(); ++c) {
-    int cls = closure.ClassOf(closure.ConstantNode(c));
-    min_pos[cls] = 0;
-    max_pos[cls] = static_cast<int>(window) - 1;
-  }
-
-  int best = 0;
-  for (size_t h = 0; h + 1 < window; ++h) {
-    // Classes entirely in L(h) = positions <= h, entirely in R(h) = > h.
-    // Compact ids per side.
-    std::map<int, int> left_id, right_id;
-    std::vector<std::pair<int, int>> edges;
-    for (const auto& [c1, c2] : closure.InequalityEdges()) {
-      int left = -1, right = -1;
-      auto classify = [&](int c) {
-        if (max_pos[c] < 0) return 0;  // class with no register occurrence
-        if (max_pos[c] <= static_cast<int>(h)) return -1;  // left
-        if (min_pos[c] > static_cast<int>(h)) return 1;    // right
-        return 0;  // straddles
-      };
-      int k1 = classify(c1);
-      int k2 = classify(c2);
-      if (k1 == -1 && k2 == 1) {
-        left = c1;
-        right = c2;
-      } else if (k1 == 1 && k2 == -1) {
-        left = c2;
-        right = c1;
-      } else {
-        continue;
-      }
-      auto lid = left_id.emplace(left, static_cast<int>(left_id.size())).first;
-      auto rid =
-          right_id.emplace(right, static_cast<int>(right_id.size())).first;
-      edges.emplace_back(lid->second, rid->second);
-    }
-    best = std::max(
-        best, BipartiteMinVertexCover(static_cast<int>(left_id.size()),
-                                      static_cast<int>(right_id.size()),
-                                      edges));
-  }
-  return best;
+  return CoverSweep::Run(
+      closure, scratch != nullptr ? *scratch : ThreadLocalCoverScratch());
 }
 
 Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
@@ -176,11 +260,10 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
 
   // Per-lasso cover measurement, run on the engine's workers. The
   // aggregation (max over covers, or over growth flags) is commutative and
-  // associative, so the verdict is identical for any worker count; the
-  // mutex only orders the cheap folds, not the cover computations.
-  std::mutex fold_mu;
-  int max_cover = 0;
-  bool growth_detected = false;
+  // associative, so the verdict is identical for any worker count; it is
+  // folded with relaxed atomics (the pool's join publishes the result).
+  std::atomic<int> max_cover{0};
+  std::atomic<bool> growth_detected{false};
   auto evaluate = [&](const LassoCandidate& candidate,
                       LassoWorkerCounters& counters) -> LassoVerdict {
     const LassoWord& lasso = candidate.word;
@@ -189,7 +272,8 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
     ConstraintClosure small(era, alphabet, lasso, w_small,
                             &counters.scratch);
     ScopedMemoryCharge closure_charge(options.governor, small.ApproxBytes());
-    int cover_small = MaxCutVertexCoverOfClosure(small);
+    int cover_small =
+        MaxCutVertexCoverOfClosure(small, &counters.cover_scratch);
     if (cover_small < 0) return LassoVerdict::kInconsistent;
     // The large window shares the small one's prefix: grow the closure by
     // the extra cycle pumps instead of rebuilding from position 0.
@@ -197,11 +281,15 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
     ConstraintClosure large =
         small.ExtendedBy(pump_large - pump_small, &counters.scratch);
     closure_charge.Add(large.ApproxBytes());
-    int cover_large = MaxCutVertexCoverOfClosure(large);
-    {
-      std::lock_guard<std::mutex> lock(fold_mu);
-      max_cover = std::max(max_cover, cover_small);
-      if (cover_large > cover_small) growth_detected = true;
+    int cover_large =
+        MaxCutVertexCoverOfClosure(large, &counters.cover_scratch);
+    int seen = max_cover.load(std::memory_order_relaxed);
+    while (cover_small > seen &&
+           !max_cover.compare_exchange_weak(seen, cover_small,
+                                            std::memory_order_relaxed)) {
+    }
+    if (cover_large > cover_small) {
+      growth_detected.store(true, std::memory_order_relaxed);
     }
     return LassoVerdict::kReject;  // aggregate-only: never a witness
   };
@@ -217,14 +305,13 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
   LassoSearchOutcome outcome =
       SearchLassos(scontrol, search_options, evaluate);
 
-  RAV_METRIC_RECORD("projection/lr_bounded/max_cover", max_cover);
-  if (growth_detected) {
+  LrBoundResult result;
+  result.max_cover = max_cover.load(std::memory_order_relaxed);
+  result.growth_detected = growth_detected.load(std::memory_order_relaxed);
+  RAV_METRIC_RECORD("projection/lr_bounded/max_cover", result.max_cover);
+  if (result.growth_detected) {
     RAV_METRIC_COUNT("projection/lr_bounded/growth_detected", 1);
   }
-
-  LrBoundResult result;
-  result.max_cover = max_cover;
-  result.growth_detected = growth_detected;
   result.lassos_examined = outcome.stats.lassos_checked;
   result.stats = outcome.stats;
   result.stats.guard_table_bytes = alphabet.guard_table_bytes();

@@ -1,10 +1,9 @@
 #ifndef RAV_PROJECTION_LR_BOUNDED_H_
 #define RAV_PROJECTION_LR_BOUNDED_H_
 
-#include <vector>
-
 #include "base/status.h"
 #include "era/constraint_graph.h"
+#include "era/cover_scratch.h"
 #include "era/extended_automaton.h"
 #include "era/parallel_search.h"
 #include "ra/control.h"
@@ -83,7 +82,9 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
                                       const LrBoundOptions& options = {});
 
 // The exact maximum over cuts h of the minimum vertex cover of G^w_h for
-// one lasso at one window size. Exposed for tests and benchmarks.
+// one lasso at one window size: a one-off closure build plus
+// MaxCutVertexCoverOfClosure, for callers without a prebuilt closure
+// (benchmarks, examples).
 int MaxCutVertexCover(const ExtendedAutomaton& era,
                       const ControlAlphabet& alphabet, const LassoWord& lasso,
                       size_t window);
@@ -91,14 +92,14 @@ int MaxCutVertexCover(const ExtendedAutomaton& era,
 // Same measurement on a prebuilt closure (window = closure.window()), so
 // callers comparing several window sizes of one lasso can grow a single
 // closure with ExtendedBy instead of rebuilding. Returns -1 if the
-// closure is inconsistent.
-int MaxCutVertexCoverOfClosure(const ConstraintClosure& closure);
-
-// Minimum vertex cover of a bipartite graph given as edges between left
-// ids [0, n_left) and right ids [0, n_right), via maximum matching
-// (König). Exposed for tests.
-int BipartiteMinVertexCover(int n_left, int n_right,
-                            const std::vector<std::pair<int, int>>& edges);
+// closure is inconsistent. This is the sampler's kernel: one sweep over
+// the cuts that carries a single maximum matching from cut to cut (see
+// docs/search.md, "The G^w_h cover kernel"), in O(|classes| · |edges|)
+// per closure. `scratch` (optional) holds every buffer of the sweep —
+// search workers pass their own; without one a per-thread instance is
+// used.
+int MaxCutVertexCoverOfClosure(const ConstraintClosure& closure,
+                               CoverScratch* scratch = nullptr);
 
 }  // namespace rav
 

@@ -97,9 +97,9 @@ for s in range(n):
 for s in range(n):
     for t in range(n):
         spec.append(f"transition q{s} -> q{t} {{ x1 = y1 }}")
-        spec.append(f"transition q{s} -> q{t} {{ x1 != y1 }}")
-alts = "|".join(f"q{s}" for s in range(n))
-spec.append(f'constraint neq 1 1 "({alts})*" }}')
+# x1 != x1 across every 30-position factor: refuted only on full pumped
+# windows, so the search runs for a few hundred milliseconds.
+spec.append(f'constraint neq 1 1 "{"." * 30}" }}')
 sock = socket.create_connection(("127.0.0.1", port), timeout=30)
 sock.sendall((json.dumps(
     {"id": "doomed", "op": "empty", "spec": " ".join(spec)}) + "\n").encode())
@@ -149,9 +149,9 @@ for s in range(n):
 for s in range(n):
     for t in range(n):
         spec.append(f"transition q{s} -> q{t} {{ x1 = y1 }}")
-        spec.append(f"transition q{s} -> q{t} {{ x1 != y1 }}")
-alts = "|".join(f"q{s}" for s in range(n))
-spec.append(f'constraint neq 1 1 "({alts})*" }}')
+# x1 != x1 across every 30-position factor: refuted only on full pumped
+# windows, so the search runs for a few hundred milliseconds.
+spec.append(f'constraint neq 1 1 "{"." * 30}" }}')
 sock = socket.create_connection(("127.0.0.1", port), timeout=30)
 f = sock.makefile("rw")
 f.write(json.dumps(

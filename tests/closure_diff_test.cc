@@ -144,6 +144,30 @@ TEST(ClosureDiffTest, ExtendedByMatchesRebuild) {
   }
 }
 
+TEST(ClosureDiffTest, InconsistencyPersistsInWiderWindows) {
+  // The emptiness search refutes a candidate on a short probe window
+  // before the full pump: every equality and inequality of a window is
+  // also in every wider window of the same word.
+  std::mt19937 rng(20261017);
+  ClosureScratch scratch;
+  int refuted = 0;
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    RandomInstance inst = MakeInstance(rng);
+    std::uniform_int_distribution<size_t> window_dist(1, 30);
+    const size_t narrow = window_dist(rng);
+    const size_t wide = narrow + window_dist(rng);
+    ConstraintClosure small(inst.era, inst.alphabet, inst.word, narrow,
+                            &scratch);
+    ConstraintClosure large(inst.era, inst.alphabet, inst.word, wide,
+                            &scratch);
+    if (!small.consistent()) {
+      ++refuted;
+      EXPECT_FALSE(large.consistent()) << "iteration " << iteration;
+    }
+  }
+  EXPECT_GT(refuted, 0);
+}
+
 TEST(ClosureDiffTest, ExtendingTwiceMatchesExtendingOnce) {
   std::mt19937 rng(424242);
   ClosureScratch scratch;

@@ -175,16 +175,6 @@ TEST(Prop20Test, FullProjectionKeepsAllRegisters) {
 
 // --- LR-boundedness (Definition 15 / Theorem 18 / Examples 16, 17) ---
 
-TEST(LrBoundTest, BipartiteCoverViaKoenig) {
-  // Path edges (0-0'),(1-0'),(1-1'): max matching 2, min cover 2.
-  EXPECT_EQ(BipartiteMinVertexCover(2, 2, {{0, 0}, {1, 0}, {1, 1}}), 2);
-  // Star: 1.
-  EXPECT_EQ(BipartiteMinVertexCover(1, 5,
-                                    {{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}}),
-            1);
-  EXPECT_EQ(BipartiteMinVertexCover(3, 3, {}), 0);
-}
-
 TEST(LrBoundTest, Example16ConsecutiveDistinctIsBounded) {
   // 1-register automaton with x1 ≠ y1: LR-bounded (cover 1).
   RegisterAutomaton a(1, Schema());

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "automata/nba.h"
 #include "base/numbers.h"
 #include "era/emptiness.h"
 #include "era/ltlfo.h"
 #include "era/parallel_search.h"
 #include "projection/lr_bounded.h"
+#include "ra/control.h"
+#include "ra/random.h"
 #include "ra/transform.h"
 #include "test_util.h"
 
@@ -173,6 +177,163 @@ TEST(SearchTruncation, LrBoundCarriesStopReason) {
   EXPECT_TRUE(result->search_truncated);
   EXPECT_EQ(result->stats.stop_reason, SearchStopReason::kLassoBudget);
   EXPECT_EQ(result->lassos_examined, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The emptiness evaluator closes each candidate over a probe window of two
+// cycle pumps and grows only a consistent probe to the full pump. Its
+// search must equal one that closes every candidate over the full window.
+
+LassoSearchOutcome FullWindowSearch(const ExtendedAutomaton& era,
+                                    const ControlAlphabet& alphabet,
+                                    const Nba& nba,
+                                    const EraEmptinessOptions& options) {
+  const size_t pump = SuggestedPumpCount(era);
+  LassoSearchOptions search_options;
+  search_options.max_lasso_length = options.max_lasso_length;
+  search_options.max_lassos = options.max_lassos;
+  search_options.max_search_steps = options.max_search_steps;
+  return SearchLassos(
+      nba, search_options,
+      [&](const LassoCandidate& candidate,
+          LassoWorkerCounters& counters) -> LassoVerdict {
+        const LassoWord& w = candidate.word;
+        ConstraintClosure closure(era, alphabet, w,
+                                  w.prefix.size() + w.cycle.size() * pump,
+                                  &counters.scratch);
+        if (!closure.consistent()) return LassoVerdict::kInconsistent;
+        return RealizeEraWitness(era, alphabet, w, closure).ok()
+                   ? LassoVerdict::kWitness
+                   : LassoVerdict::kReject;
+      });
+}
+
+// One register kept constant on a complete digraph over `n` states, with
+// x1 != x1 demanded across every factor of length `factor`: a lasso's
+// window is inconsistent iff it has at least `factor` positions. With
+// factors longer than any probe window, every probe is consistent and
+// every full window refutes it.
+ExtendedAutomaton MakeLongFactorEra(int n, int factor) {
+  RegisterAutomaton a(1, Schema());
+  for (int s = 0; s < n; ++s) {
+    a.AddState("q" + std::to_string(s));
+    a.SetFinal(StateId(s));
+  }
+  a.SetInitial(StateId(0));
+  for (int s = 0; s < n; ++s) {
+    for (int t = 0; t < n; ++t) {
+      TypeBuilder b = a.NewGuardBuilder();
+      b.AddEq(b.X(0), b.Y(0));
+      a.AddTransition(StateId(s), b.Build().value(), StateId(t));
+    }
+  }
+  ExtendedAutomaton era(std::move(a));
+  RAV_CHECK(era.AddConstraintFromText(RegisterPair{RegisterId(0), RegisterId(0)},
+                                      false, std::string(factor, '.'))
+                .ok());
+  return era;
+}
+
+// `era` must be complete and have no relations (the full-window evaluator
+// above skips the Example 8 clique check).
+void ExpectProbeSearchMatchesFullWindow(const ExtendedAutomaton& era) {
+  ControlAlphabet alphabet(era.automaton());
+  const Nba nba = BuildSControlNba(era.automaton(), alphabet);
+  EraEmptinessOptions options;
+  options.max_lasso_length = 6;
+  options.max_lassos = 100;
+  const EraEmptinessResult probe =
+      SearchConsistentLasso(era, alphabet, nba, options);
+  const LassoSearchOutcome full =
+      FullWindowSearch(era, alphabet, nba, options);
+  ASSERT_EQ(probe.nonempty, full.witness.has_value());
+  if (probe.nonempty) {
+    EXPECT_EQ(probe.control_word, full.witness->word);
+  }
+  EXPECT_EQ(probe.stats.stop_reason, full.stats.stop_reason);
+  EXPECT_EQ(probe.stats.lassos_checked, full.stats.lassos_checked);
+  EXPECT_EQ(probe.stats.inconsistent_closures,
+            full.stats.inconsistent_closures);
+  // One probe closure per candidate, one extension per consistent probe.
+  EXPECT_EQ(probe.stats.closures_built, probe.stats.lassos_checked);
+  EXPECT_LE(probe.stats.closures_extended, probe.stats.lassos_checked);
+}
+
+TEST(ProbeWindowSearch, MatchesFullWindowOnHandBuiltFamilies) {
+  ExpectProbeSearchMatchesFullWindow(
+      CompletedEra(MakeShiftRingSearchEra(2, 4, /*contradictory=*/true)));
+  ExpectProbeSearchMatchesFullWindow(
+      CompletedEra(MakeShiftRingSearchEra(2, 4, /*contradictory=*/false)));
+  ExpectProbeSearchMatchesFullWindow(CompletedEra(testing::MakeExample5()));
+  ExpectProbeSearchMatchesFullWindow(
+      CompletedEra(MakeContradictoryExample5()));
+  ExpectProbeSearchMatchesFullWindow(CompletedEra(MakeLongFactorEra(3, 14)));
+}
+
+TEST(ProbeWindowSearch, MatchesFullWindowOnRandomAutomata) {
+  std::mt19937 rng(20261017);
+  for (int iteration = 0; iteration < 60; ++iteration) {
+    RandomAutomatonOptions options;
+    options.num_registers = std::uniform_int_distribution<int>(1, 2)(rng);
+    options.num_states = std::uniform_int_distribution<int>(2, 4)(rng);
+    options.num_transitions = 2 * options.num_states;
+    RegisterAutomaton a = RandomAutomaton(rng, options);
+    const int num_states = a.num_states();
+    const int k = a.num_registers();
+    ExtendedAutomaton era(std::move(a));
+    std::uniform_int_distribution<int> reg(0, k - 1);
+    std::uniform_int_distribution<int> coin(0, 1);
+    for (int c = std::uniform_int_distribution<int>(1, 3)(rng); c > 0; --c) {
+      // A random DFA over the control states with at most four states.
+      const int n = std::uniform_int_distribution<int>(1, 4)(rng);
+      std::uniform_int_distribution<int> dfa_state(0, n - 1);
+      Dfa dfa(num_states, n, dfa_state(rng));
+      for (int s = 0; s < n; ++s) {
+        for (int q = 0; q < num_states; ++q) {
+          dfa.SetTransition(s, q, dfa_state(rng));
+        }
+        dfa.SetAccepting(s, coin(rng) == 1);
+      }
+      ASSERT_TRUE(era.AddConstraintDfa(
+                         RegisterPair{RegisterId(reg(rng)), RegisterId(reg(rng))},
+                         /*is_equality=*/coin(rng) == 1, dfa)
+                      .ok());
+    }
+    SCOPED_TRACE("iteration " + std::to_string(iteration));
+    ExpectProbeSearchMatchesFullWindow(CompletedEra(era));
+  }
+}
+
+TEST(ProbeWindowSearch, AllRejectDrainNeverGrowsAProbe) {
+  // Every candidate of the contradictory ring is refuted on its probe.
+  ExtendedAutomaton era =
+      CompletedEra(MakeShiftRingSearchEra(3, 5, /*contradictory=*/true));
+  ControlAlphabet alphabet(era.automaton());
+  auto result = CheckEraEmptiness(era, alphabet);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->nonempty);
+  EXPECT_EQ(result->stats.inconsistent_closures,
+            result->stats.lassos_checked);
+  EXPECT_EQ(result->stats.closures_built, result->stats.lassos_checked);
+  EXPECT_EQ(result->stats.closures_extended, 0u);
+}
+
+TEST(ProbeWindowSearch, ContradictionsPastTheProbeAreStillFound) {
+  // Lassos of at most 6 symbols have probes of at most 12 positions, so
+  // every probe is consistent and only the full pump refutes them.
+  ExtendedAutomaton era = CompletedEra(MakeLongFactorEra(3, 14));
+  ControlAlphabet alphabet(era.automaton());
+  EraEmptinessOptions options;
+  options.max_lasso_length = 6;
+  options.max_lassos = 100;
+  options.analyze_and_strip = false;
+  auto result = CheckEraEmptiness(era, alphabet, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->nonempty);
+  EXPECT_GT(result->stats.lassos_checked, 0u);
+  EXPECT_EQ(result->stats.inconsistent_closures,
+            result->stats.lassos_checked);
+  EXPECT_EQ(result->stats.closures_extended, result->stats.lassos_checked);
 }
 
 // ---------------------------------------------------------------------------
