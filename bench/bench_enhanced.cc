@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "base/numbers.h"
 #include "bench_common.h"
 
 #include "enhanced/theorem24.h"
@@ -41,7 +42,7 @@ RegisterAutomaton MakePhaseCycle(int phases) {
   Schema s;
   RelationId e = s.AddRelation("E", 2);
   RegisterAutomaton a(2, s);
-  for (int i = 0; i < phases; ++i) a.AddState("s" + std::to_string(i));
+  for (int i = 0; i < phases; ++i) a.AddState(IndexedName("s", i));
   a.SetInitial(StateId(0));
   a.SetFinal(StateId(0));
   for (int i = 0; i < phases; ++i) {

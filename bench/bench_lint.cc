@@ -23,6 +23,7 @@
 #include <string>
 
 #include "analysis/lint.h"
+#include "base/numbers.h"
 #include "bench_common.h"
 #include "era/emptiness.h"
 #include "types/completion.h"
@@ -44,8 +45,8 @@ ExtendedAutomaton SeededEra(int dead) {
   RegisterAutomaton a = core.automaton();
   const RaTransition seed = a.transition(0);
   for (int d = 0; d < dead; ++d) {
-    StateId sink = a.AddState("sink" + std::to_string(d));
-    StateId orphan = a.AddState("orphan" + std::to_string(d));
+    StateId sink = a.AddState(IndexedName("sink", d));
+    StateId orphan = a.AddState(IndexedName("orphan", d));
     a.AddTransition(seed.from, seed.guard, sink);
     a.AddTransition(orphan, seed.guard, seed.from);
   }
@@ -59,7 +60,7 @@ ExtendedAutomaton SeededEra(int dead) {
             .ok());
   }
   for (int d = 0; d < dead; ++d) {
-    const std::string orphan = "orphan" + std::to_string(d);
+    const std::string orphan = IndexedName("orphan", d);
     RAV_CHECK(era.AddConstraintFromText(
         RegisterPair{RegisterId(0), RegisterId(0)}, /*is_equality=*/true, 
                                         orphan + " " + orphan)
@@ -148,7 +149,7 @@ ExtendedAutomaton CleanRingEra(int n) {
   Schema schema;
   schema.AddConstant("c");
   RegisterAutomaton a(1, schema);
-  for (int s = 0; s < n; ++s) a.AddState("r" + std::to_string(s));
+  for (int s = 0; s < n; ++s) a.AddState(IndexedName("r", s));
   a.SetInitial(StateId(0));
   a.SetFinal(StateId(0));
   for (int s = 0; s < n; ++s) {
@@ -173,7 +174,7 @@ ExtendedAutomaton FlowDeadEra(int knots) {
   Type free = a.NewGuardBuilder().Build().value();
   AddCompletedTransitions(a, core, free, core);
   for (int d = 0; d < knots; ++d) {
-    const StateId knot = a.AddState("knot" + std::to_string(d));
+    const StateId knot = a.AddState(IndexedName("knot", d));
     TypeBuilder feeder = a.NewGuardBuilder();
     feeder.AddEq(feeder.Y(0), feeder.Const(c));
     AddCompletedTransitions(a, core, feeder.Build().value(), knot);

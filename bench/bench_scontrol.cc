@@ -15,11 +15,16 @@
 namespace rav {
 namespace {
 
+// Args: {registers k, ring states n, state-driven}. The state-driven
+// rungs scale the NBA (|Q| grows by the symbols per state); the
+// 4-register rungs are the plain completed rings the decision service
+// compiles as its emptiness subject, where frontier compatibility is the
+// cost the classes remove (52 distinct guards, 15 x̄- and 15 ȳ-classes).
 void BM_BuildSControl(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const int s = static_cast<int>(state.range(1));
-  RegisterAutomaton a =
-      MakeStateDriven(Completed(bench::MakeShiftRing(k, s)).value());
+  RegisterAutomaton a = Completed(bench::MakeShiftRing(k, s)).value();
+  if (state.range(2) != 0) a = MakeStateDriven(a);
   ControlAlphabet alphabet(a);
   int nba_states = 0, nba_transitions = 0;
   for (auto _ : state) {
@@ -31,12 +36,19 @@ void BM_BuildSControl(benchmark::State& state) {
   state.counters["symbols"] = alphabet.size();
   state.counters["nba_states"] = nba_states;
   state.counters["nba_transitions"] = nba_transitions;
+  if (const compile::GuardTableSet* tables = alphabet.tables()) {
+    state.counters["guards"] = tables->num_guards();
+    state.counters["x_classes"] = tables->frontier().num_x_classes();
+    state.counters["y_classes"] = tables->frontier().num_y_classes();
+  }
 }
 BENCHMARK(BM_BuildSControl)
-    ->Args({1, 2})
-    ->Args({2, 2})
-    ->Args({2, 4})
-    ->Args({3, 4});
+    ->Args({1, 2, 1})
+    ->Args({2, 2, 1})
+    ->Args({2, 4, 1})
+    ->Args({3, 4, 1})
+    ->Args({4, 2, 0})
+    ->Args({4, 3, 0});
 
 void BM_ControlWordsAccepted(benchmark::State& state) {
   // Every control word of a real lasso run lies in SControl (the easy

@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "base/numbers.h"
 #include "bench_common.h"
 #include "ra/transform.h"
 
@@ -14,7 +15,7 @@ namespace {
 // An automaton with `s` states and `g` distinct guards usable everywhere.
 RegisterAutomaton MakeDenseAutomaton(int s, int g) {
   RegisterAutomaton a(2, Schema());
-  for (int i = 0; i < s; ++i) a.AddState("s" + std::to_string(i));
+  for (int i = 0; i < s; ++i) a.AddState(IndexedName("s", i));
   a.SetInitial(StateId(0));
   a.SetFinal(StateId(0));
   std::vector<Type> guards;

@@ -109,31 +109,13 @@ struct FireabilityProblem {
   const compile::GuardTableSet* tables;
   const std::vector<GuardId>* guard_id;
   const std::vector<bool>* state_live;
-  // Pairwise frontier-compatibility memo (-1 unknown / 0 / 1), indexed
-  // before * num_guards + after — the same conjunction the local RAV003
-  // pass evaluates, shared across the whole fixpoint.
-  std::vector<int8_t>* compat_memo;
 
   int num_guards() const { return tables->num_guards(); }
-
-  bool Compatible(GuardId before, GuardId after) const {
-    int8_t& memo =
-        (*compat_memo)[static_cast<size_t>(before.value()) * num_guards() +
-                       after.value()];
-    if (memo < 0) {
-      memo = tables->y_restricted_as_x(before)
-                     .Conjoin(tables->x_restricted(after))
-                     .ok()
-                 ? 1
-                 : 0;
-    }
-    return memo == 1;
-  }
 
   bool Enterable(const Fact& arrival, GuardId guard) const {
     if (arrival[num_guards()]) return true;  // run can start here
     for (int g = 0; g < num_guards(); ++g) {
-      if (arrival[g] && Compatible(GuardId(g), guard)) return true;
+      if (arrival[g] && tables->Compatible(GuardId(g), guard)) return true;
     }
     return false;
   }
@@ -351,10 +333,7 @@ FlowAnalysisResult RunFlowAnalyses(
   // --- RAV012: forward fireability through compiled guard frontiers ---
   {
     RAV_TRACE_SPAN("fireability");
-    std::vector<int8_t> compat_memo(
-        static_cast<size_t>(tables.num_guards()) * tables.num_guards(), -1);
-    FireabilityProblem problem{&graph, &tables, &guard_id, &state_live,
-                               &compat_memo};
+    FireabilityProblem problem{&graph, &tables, &guard_id, &state_live};
     std::vector<std::vector<bool>> arrival = RunFixpoint(
         graph, FlowDirection::kForward, problem, &result.fireability_rounds);
     for (int ti = 0; ti < num_transitions; ++ti) {

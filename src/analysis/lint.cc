@@ -256,13 +256,14 @@ void CheckTransitions(const RegisterAutomaton& a, Analysis& analysis) {
     return;
   }
   // Completed automata reuse a handful of complete types across all
-  // transitions, so every guard-level computation below (frontier
-  // restrictions, pairwise Conjoins) is deduplicated to distinct guards
-  // and memoized per distinct-guard pair — this keeps the pass cheap
-  // enough to run at the top of every decision procedure. The dedup and
-  // the x̄/ȳ restrictions are the compile layer's GuardTableSet — the
-  // same representation the closure engine and the alphabet build — so
-  // lint+strip and the decision procedures share one lowering.
+  // transitions, so every guard-level computation below is deduplicated
+  // to distinct guards, and frontier compatibility is read from the
+  // tables' class-pair matrix (one check per distinct restriction pair)
+  // — this keeps the pass cheap enough to run at the top of every
+  // decision procedure. The dedup, the x̄/ȳ restrictions and the matrix
+  // are the compile layer's GuardTableSet — the same representation the
+  // closure engine and the alphabet build — so lint+strip and the
+  // decision procedures share one lowering.
   std::vector<const Type*> transition_guards;
   transition_guards.reserve(num_transitions);
   for (int ti = 0; ti < num_transitions; ++ti) {
@@ -282,20 +283,8 @@ void CheckTransitions(const RegisterAutomaton& a, Analysis& analysis) {
       in_live[t.to.value()].push_back(ti);
     }
   }
-  std::vector<int8_t> compat_memo(
-      static_cast<size_t>(num_guards) * num_guards, -1);
   auto compatible = [&](int before, int after) {
-    int8_t& memo =
-        compat_memo[static_cast<size_t>(guard_id[before].value()) * num_guards +
-                    guard_id[after].value()];
-    if (memo < 0) {
-      memo = tables.y_restricted_as_x(guard_id[before])
-                     .Conjoin(tables.x_restricted(guard_id[after]))
-                     .ok()
-                 ? 1
-                 : 0;
-    }
-    return memo == 1;
+    return tables.Compatible(guard_id[before], guard_id[after]);
   };
   std::vector<int8_t> completion_memo(num_guards, -1);
   auto has_completion = [&](int ti) {

@@ -1,6 +1,7 @@
 #include "automata/regex.h"
 
 #include <cctype>
+#include <utility>
 #include <vector>
 
 namespace rav {
@@ -323,30 +324,49 @@ Dfa Regex::ToDfa(int alphabet_size) const {
 }
 
 std::string Regex::ToString(const std::function<std::string(int)>& name) const {
+  // Appends into one buffer: chains of std::string operator+ here trip
+  // GCC 12's -Werror=restrict at -O3.
   struct Printer {
     const std::function<std::string(int)>& name;
-    std::string Print(const Node& n) {
+    std::string out;
+    void Print(const Node& n) {
       switch (n.op) {
         case Op::kEmpty:
-          return "∅";
+          out += "∅";
+          return;
         case Op::kEpsilon:
-          return "_eps";
+          out += "_eps";
+          return;
         case Op::kSymbol:
-          return name(n.symbol);
+          out += name(n.symbol);
+          return;
         case Op::kAny:
-          return ".";
+          out += '.';
+          return;
         case Op::kConcat:
-          return Print(*n.left) + " " + Print(*n.right);
+          Print(*n.left);
+          out += ' ';
+          Print(*n.right);
+          return;
         case Op::kUnion:
-          return "(" + Print(*n.left) + " | " + Print(*n.right) + ")";
+          out += '(';
+          Print(*n.left);
+          out += " | ";
+          Print(*n.right);
+          out += ')';
+          return;
         case Op::kStar:
-          return "(" + Print(*n.left) + ")*";
+          out += '(';
+          Print(*n.left);
+          out += ")*";
+          return;
       }
-      return "?";
+      out += '?';
     }
   };
-  Printer p{name};
-  return p.Print(*node_);
+  Printer p{name, {}};
+  p.Print(*node_);
+  return std::move(p.out);
 }
 
 }  // namespace rav

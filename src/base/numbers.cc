@@ -156,4 +156,10 @@ Result<long long> ParseByteSize(const std::string& text) {
   return ScaleChecked(text, *value, multiplier);
 }
 
+std::string IndexedName(std::string_view prefix, long long n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
+
 }  // namespace rav

@@ -2,6 +2,7 @@
 #define RAV_BASE_NUMBERS_H_
 
 #include <string>
+#include <string_view>
 
 #include "base/status.h"
 
@@ -29,6 +30,11 @@ Result<long long> ParseDurationMs(const std::string& text);
 // suffix-only strings ("k"), unknown suffixes ("64kb"), and values that
 // overflow when scaled — always with an error naming the valid suffixes.
 Result<long long> ParseByteSize(const std::string& text);
+
+// `prefix` followed by `n` in decimal: IndexedName("s", 3) == "s3".
+// Builds the name in one buffer; the idiom `"s" + std::to_string(n)`
+// trips GCC 12's -Werror=restrict at -O3 (a Release build).
+std::string IndexedName(std::string_view prefix, long long n);
 
 }  // namespace rav
 

@@ -79,6 +79,11 @@ using RegisterId = StrongId<struct RegisterIdTag>;
 using GuardId = StrongId<struct GuardIdTag>;
 // Dense id of a control symbol (q, δ) of a ControlAlphabet.
 using SymbolId = StrongId<struct SymbolIdTag>;
+// Dense ids of the distinct x̄ frontier restrictions and of the distinct
+// ȳ frontier restrictions (renamed onto x̄) of a guard set — two spaces,
+// so a compatibility lookup cannot swap them (compile::FrontierClasses).
+using XClassId = StrongId<struct XClassIdTag>;
+using YClassId = StrongId<struct YClassIdTag>;
 // Element id of a σ-type: variables first, then constant symbols
 // (TypeBuilder::X/Y/Const produce these).
 using ElementIndex = StrongId<struct ElementIndexTag>;

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "base/flat_map.h"
 #include "base/logging.h"
 
 namespace rav::compile {
@@ -41,6 +42,20 @@ GuardEngine ResolveGuardEngine(GuardEngine requested) {
 
 namespace {
 
+// A borrowed Type hashed and compared by value: the FlatIdMap key that
+// interns Types (first-use order) without copying them. The Type must
+// outlive the map.
+struct TypeRef {
+  const Type* type;
+  bool operator==(const TypeRef& other) const { return *type == *other.type; }
+};
+struct TypeRefHash {
+  size_t operator()(const TypeRef& ref) const {
+    return Type::Hasher()(*ref.type);
+  }
+};
+using TypeInterner = FlatIdMap<TypeRef, TypeRefHash>;
+
 // Lowers one type into its closure/eval ops: union pairs (first element of
 // each class, later element), diseq pairs between first elements, adom
 // marks of positive-atom argument classes — the same instruction stream
@@ -67,6 +82,35 @@ void LowerOps(const Type& t, std::vector<int>& rep, GuardOps& ops) {
 
 }  // namespace
 
+FrontierClasses FrontierClasses::Build(
+    const std::vector<const Type*>& x_restricted,
+    const std::vector<const Type*>& y_restricted_as_x) {
+  RAV_CHECK_EQ(x_restricted.size(), y_restricted_as_x.size());
+  FrontierClasses classes;
+  TypeInterner x_ids;
+  TypeInterner y_ids;
+  classes.x_class_.reserve(x_restricted.size());
+  classes.y_class_.reserve(y_restricted_as_x.size());
+  for (size_t i = 0; i < x_restricted.size(); ++i) {
+    classes.x_class_.push_back(
+        XClassId(x_ids.Intern({x_restricted[i]}).first));
+    classes.y_class_.push_back(
+        YClassId(y_ids.Intern({y_restricted_as_x[i]}).first));
+  }
+  classes.num_x_classes_ = static_cast<int>(x_ids.size());
+  classes.num_y_classes_ = static_cast<int>(y_ids.size());
+  // Row per ȳ-class, column per x̄-class, each decided on the class's
+  // first-use representative.
+  classes.compatible_.reserve(x_ids.size() * y_ids.size());
+  for (const TypeRef& before : y_ids.Keys()) {
+    for (const TypeRef& after : x_ids.Keys()) {
+      classes.compatible_.push_back(
+          before.type->ConsistentWith(*after.type) ? 1 : 0);
+    }
+  }
+  return classes;
+}
+
 GuardTableSet GuardTableSet::Build(const std::vector<const Type*>& guards,
                                    int k, int num_constants,
                                    std::vector<GuardId>* id_of_input) {
@@ -78,19 +122,14 @@ GuardTableSet GuardTableSet::Build(const std::vector<const Type*>& guards,
     id_of_input->reserve(guards.size());
   }
   std::vector<int> rep;
+  // Keys borrow the input guards, which outlive the loop.
+  TypeInterner guard_ids;
   for (const Type* g : guards) {
     RAV_CHECK(g != nullptr);
     RAV_CHECK_EQ(g->num_vars(), 2 * k);
     RAV_CHECK_EQ(g->num_constants(), num_constants);
-    int id = -1;
-    for (size_t d = 0; d < set.guards_.size(); ++d) {
-      if (set.guards_[d] == *g) {
-        id = static_cast<int>(d);
-        break;
-      }
-    }
-    if (id < 0) {
-      id = set.num_guards();
+    const auto [id, fresh] = guard_ids.Intern({g});
+    if (fresh) {
       set.guards_.push_back(*g);
       set.x_restricted_.push_back(RestrictToX(*g, k));
       set.y_restricted_.push_back(RestrictToYAsX(*g, k));
@@ -110,6 +149,18 @@ GuardTableSet GuardTableSet::Build(const std::vector<const Type*>& guards,
     }
     if (id_of_input != nullptr) id_of_input->push_back(GuardId(id));
   }
+  {
+    std::vector<const Type*> x_restricted;
+    std::vector<const Type*> y_restricted;
+    x_restricted.reserve(set.guards_.size());
+    y_restricted.reserve(set.guards_.size());
+    for (int id = 0; id < set.num_guards(); ++id) {
+      x_restricted.push_back(&set.x_restricted_[id]);
+      y_restricted.push_back(&set.y_restricted_[id]);
+    }
+    set.frontier_ = FrontierClasses::Build(x_restricted, y_restricted);
+  }
+  set.table_bytes_ = set.frontier_.bytes();
   for (int id = 0; id < set.num_guards(); ++id) {
     set.table_bytes_ += set.ops_[id].bytes() + set.x_ops_[id].bytes();
     for (const GuardAtom& a : set.atoms_[id]) {

@@ -78,13 +78,58 @@ struct GuardAtom {
   std::vector<int> arg_elements;
 };
 
+// Frontier classes of a list of items (guards or control symbols): the
+// distinct x̄ restrictions and the distinct ȳ restrictions (renamed onto
+// x̄), each interned by Type equality in first-use order, and the
+// compatibility of every (ȳ-class, x̄-class) pair — δ|ȳ conjoinable with
+// δ′|x̄, the frontier test SControl applies between consecutive control
+// symbols. The test depends only on the two restrictions, so one
+// Type::ConsistentWith per class pair decides it for every item pair.
+class FrontierClasses {
+ public:
+  FrontierClasses() = default;
+
+  // x_restricted[i] / y_restricted_as_x[i] are item i's restrictions, all
+  // over one element space. The pointers are read during Build only.
+  static FrontierClasses Build(
+      const std::vector<const Type*>& x_restricted,
+      const std::vector<const Type*>& y_restricted_as_x);
+
+  int num_x_classes() const { return num_x_classes_; }
+  int num_y_classes() const { return num_y_classes_; }
+  XClassId x_class(int item) const { return x_class_[item]; }
+  YClassId y_class(int item) const { return y_class_[item]; }
+  // Can a symbol whose ȳ restriction is in class `before` be followed by
+  // one whose x̄ restriction is in class `after`?
+  bool Compatible(YClassId before, XClassId after) const {
+    return compatible_[static_cast<size_t>(before.value()) * num_x_classes_ +
+                       after.value()] != 0;
+  }
+
+  // Heap bytes of the class-id arrays and the compatibility matrix.
+  size_t bytes() const {
+    return x_class_.capacity() * sizeof(XClassId) +
+           y_class_.capacity() * sizeof(YClassId) + compatible_.capacity();
+  }
+
+ private:
+  std::vector<XClassId> x_class_;  // item -> x̄-class
+  std::vector<YClassId> y_class_;  // item -> ȳ-class
+  int num_x_classes_ = 0;
+  int num_y_classes_ = 0;
+  // [ȳ-class * num_x_classes_ + x̄-class] -> 1 iff conjoinable
+  std::vector<unsigned char> compatible_;
+};
+
 // The compiled table set of one automaton's distinct guards. Build dedups
-// the input guards by Type equality (first-use order, the same order
-// RegisterAutomaton::DistinctGuards produces) and lowers each one into:
+// the input guards by Type equality (hash-interned, first-use order — the
+// same order RegisterAutomaton::DistinctGuards produces) and lowers each
+// one into:
 //   * its evaluation program: the GuardOps pairs double as equality /
 //     disequality instructions over element values, plus the signed atoms,
-//   * its x̄ / ȳ frontier restrictions (shared by the control alphabet,
-//     BuildSControlNba, and the lint strip passes — one dedup for all),
+//   * its x̄ / ȳ frontier restrictions and their frontier classes with the
+//     class-pair compatibility matrix (shared by BuildSControlNba and the
+//     lint strip passes — one consistency check per class pair for all),
 //   * the x̄-restricted closure ops the incremental closure engine applies
 //     at a window's last position.
 // Immutable after Build; safe to share across search workers by const ref.
@@ -113,6 +158,14 @@ class GuardTableSet {
   const Type& y_restricted_as_x(GuardId id) const {
     return y_restricted_[id.value()];
   }
+  // The frontier classes of the guards (item i = guard id i).
+  const FrontierClasses& frontier() const { return frontier_; }
+  // Frontier compatibility of guard `before` followed by guard `after`:
+  // y_restricted_as_x(before).Conjoin(x_restricted(after)).ok().
+  bool Compatible(GuardId before, GuardId after) const {
+    return frontier_.Compatible(frontier_.y_class(before.value()),
+                                frontier_.x_class(after.value()));
+  }
 
   // Closure ops of the full 2k-variable guard (elements 0..2k-1 then
   // constants) and of its x̄ restriction (elements 0..k-1 then constants).
@@ -124,8 +177,8 @@ class GuardTableSet {
     return atoms_[id.value()];
   }
 
-  // Approximate heap bytes of every table in the set (governor-charged by
-  // the consumers that report it).
+  // Approximate heap bytes of every table in the set, the frontier classes
+  // included (governor-charged by the consumers that report it).
   size_t table_bytes() const { return table_bytes_; }
 
   // Evaluates guard `id` on one x̄·ȳ valuation (2k values). Observationally
@@ -153,6 +206,7 @@ class GuardTableSet {
   std::vector<GuardOps> ops_;
   std::vector<GuardOps> x_ops_;
   std::vector<std::vector<GuardAtom>> atoms_;
+  FrontierClasses frontier_;
   size_t table_bytes_ = 0;
 };
 

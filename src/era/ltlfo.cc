@@ -75,10 +75,8 @@ Status AddFormulaAsLiterals(TypeBuilder& builder, const Formula& formula,
   return Status::Internal("unreachable");
 }
 
-// Refines every transition of `era` so that each guard decides every
-// proposition: transitions with undetermined propositions are split by
-// the consistent truth assignments. This is the cheap, targeted
-// alternative to full completion (which is exponential in the schema).
+}  // namespace
+
 Result<ExtendedAutomaton> RefineForPropositions(
     const ExtendedAutomaton& era, const std::vector<Formula>& propositions,
     const ExecutionGovernor* governor) {
@@ -154,8 +152,6 @@ Result<ExtendedAutomaton> RefineForPropositions(
   }
   return out;
 }
-
-}  // namespace
 
 Result<VerificationResult> VerifyLtlFo(const ExtendedAutomaton& era,
                                        const LtlFoProperty& property,

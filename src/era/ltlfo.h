@@ -75,6 +75,15 @@ Result<VerificationResult> VerifyLtlFo(const ExtendedAutomaton& era,
                                        const LtlFoProperty& property,
                                        const VerificationOptions& options = {});
 
+// Step 1 of VerifyLtlFo: refines every transition of `era` so that each
+// guard decides every proposition — transitions with undetermined
+// propositions are split by the consistent truth assignments. This is the
+// cheap, targeted alternative to full completion (which is exponential in
+// the schema). `governor` may be null.
+Result<ExtendedAutomaton> RefineForPropositions(
+    const ExtendedAutomaton& era, const std::vector<Formula>& propositions,
+    const ExecutionGovernor* governor);
+
 // Helper for the global variables ∀z̄ of Definition 11: returns an
 // extended automaton with `count` extra registers that every transition
 // propagates unchanged (x_r = y_r), so each run fixes a valuation of z̄.

@@ -5,6 +5,7 @@
 
 #include "base/flat_map.h"
 #include "base/hash.h"
+#include "base/numbers.h"
 #include "types/type.h"
 
 namespace rav {
@@ -83,7 +84,8 @@ Result<ExtendedAutomaton> EliminateEqualityConstraints(
     }
     std::string name = a.state_name(cs.q);
     for (const Book& book : cs.books) {
-      name += "/" + std::to_string(book.on) + "." + std::to_string(book.dead);
+      name += IndexedName("/", book.on);
+      name += IndexedName(".", book.dead);
     }
     RAV_CHECK_EQ(b.AddState(name).value(), id.value());
     b.SetInitial(id, false);  // initials set below

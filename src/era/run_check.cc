@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "base/numbers.h"
+
 namespace rav {
 
 namespace {
@@ -9,10 +11,11 @@ namespace {
 std::string ViolationMessage(const GlobalConstraint& c, size_t n, size_t m) {
   std::string out = "constraint e";
   out += c.is_equality ? "=" : "≠";
-  out += "[" + std::to_string(c.i.value() + 1) + "," +
-         std::to_string(c.j.value() + 1) +
-         "] violated between positions " + std::to_string(n) + " and " +
-         std::to_string(m);
+  out += IndexedName("[", c.i.value() + 1);
+  out += IndexedName(",", c.j.value() + 1);
+  out += IndexedName("] violated between positions ",
+                     static_cast<long long>(n));
+  out += IndexedName(" and ", static_cast<long long>(m));
   if (!c.description.empty()) out += " (" + c.description + ")";
   return out;
 }

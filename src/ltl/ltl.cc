@@ -430,40 +430,65 @@ Result<LtlFormula> LtlFormula::Parse(
   return parser.Parse();
 }
 
+namespace {
+
+// Appends into one buffer: chains of std::string operator+ here trip
+// GCC 12's -Werror=restrict at -O3.
+void AppendFormula(const LtlFormula& f,
+                   const std::function<std::string(int)>& ap_name,
+                   std::string& out) {
+  using Op = LtlFormula::Op;
+  auto unary = [&](const char* open) {
+    out += open;
+    AppendFormula(f.left(), ap_name, out);
+    out += ')';
+  };
+  auto binary = [&](const char* op) {
+    out += '(';
+    AppendFormula(f.left(), ap_name, out);
+    out += op;
+    AppendFormula(f.right(), ap_name, out);
+    out += ')';
+  };
+  switch (f.op()) {
+    case Op::kTrue:
+      out += "true";
+      return;
+    case Op::kFalse:
+      out += "false";
+      return;
+    case Op::kAp:
+      out += ap_name(f.ap_index());
+      return;
+    case Op::kNot:
+      return unary("!(");
+    case Op::kAnd:
+      return binary(" & ");
+    case Op::kOr:
+      return binary(" | ");
+    case Op::kImplies:
+      return binary(" -> ");
+    case Op::kNext:
+      return unary("X(");
+    case Op::kUntil:
+      return binary(" U ");
+    case Op::kRelease:
+      return binary(" R ");
+    case Op::kEventually:
+      return unary("F(");
+    case Op::kGlobally:
+      return unary("G(");
+  }
+  out += '?';
+}
+
+}  // namespace
+
 std::string LtlFormula::ToString(
     const std::function<std::string(int)>& ap_name) const {
-  switch (node_->op) {
-    case Op::kTrue:
-      return "true";
-    case Op::kFalse:
-      return "false";
-    case Op::kAp:
-      return ap_name(node_->ap_index);
-    case Op::kNot:
-      return "!(" + node_->left->ToString(ap_name) + ")";
-    case Op::kAnd:
-      return "(" + node_->left->ToString(ap_name) + " & " +
-             node_->right->ToString(ap_name) + ")";
-    case Op::kOr:
-      return "(" + node_->left->ToString(ap_name) + " | " +
-             node_->right->ToString(ap_name) + ")";
-    case Op::kImplies:
-      return "(" + node_->left->ToString(ap_name) + " -> " +
-             node_->right->ToString(ap_name) + ")";
-    case Op::kNext:
-      return "X(" + node_->left->ToString(ap_name) + ")";
-    case Op::kUntil:
-      return "(" + node_->left->ToString(ap_name) + " U " +
-             node_->right->ToString(ap_name) + ")";
-    case Op::kRelease:
-      return "(" + node_->left->ToString(ap_name) + " R " +
-             node_->right->ToString(ap_name) + ")";
-    case Op::kEventually:
-      return "F(" + node_->left->ToString(ap_name) + ")";
-    case Op::kGlobally:
-      return "G(" + node_->left->ToString(ap_name) + ")";
-  }
-  return "?";
+  std::string out;
+  AppendFormula(*this, ap_name, out);
+  return out;
 }
 
 }  // namespace rav

@@ -1,19 +1,41 @@
 #include "ra/control.h"
 
+#include "base/flat_map.h"
+
 namespace rav {
+
+namespace {
+
+// A (source state, guard) pair borrowing the automaton's guard, compared
+// by value — the key the alphabet constructor interns symbols by.
+struct SymbolKey {
+  StateId state;
+  const Type* guard;
+  bool operator==(const SymbolKey& other) const {
+    return state == other.state && *guard == *other.guard;
+  }
+};
+struct SymbolKeyHash {
+  size_t operator()(const SymbolKey& key) const {
+    size_t seed = Type::Hasher()(*key.guard);
+    HashCombineValue(seed, key.state);
+    return seed;
+  }
+};
+
+}  // namespace
 
 ControlAlphabet::ControlAlphabet(const RegisterAutomaton& automaton,
                                  compile::GuardEngine engine)
     : engine_(compile::ResolveGuardEngine(engine)) {
   transition_symbol_.resize(automaton.num_transitions());
+  // Symbol ids are the interner's ids: first-use order over transitions.
+  FlatIdMap<SymbolKey, SymbolKeyHash> symbol_ids;
   for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
     const RaTransition& t = automaton.transition(ti);
-    SymbolId symbol = SymbolOf(t.from, t.guard);
-    if (!symbol.valid()) {
-      symbol = SymbolId(static_cast<int>(symbols_.size()));
-      symbols_.emplace_back(t.from, t.guard);
-    }
-    transition_symbol_[ti] = symbol;
+    const auto [symbol, fresh] = symbol_ids.Intern({t.from, &t.guard});
+    if (fresh) symbols_.emplace_back(t.from, t.guard);
+    transition_symbol_[ti] = SymbolId(symbol);
   }
   const int k = automaton.num_registers();
   if (engine_ == compile::GuardEngine::kCompiled) {
@@ -67,7 +89,6 @@ std::string ControlAlphabet::SymbolName(const RegisterAutomaton& automaton,
 
 Nba BuildSControlNba(const RegisterAutomaton& automaton,
                      const ControlAlphabet& alphabet) {
-  const int k = automaton.num_registers();
   const int num_symbols = alphabet.size();
 
   // Frontier compatibility between consecutive control symbols:
@@ -75,37 +96,58 @@ Nba BuildSControlNba(const RegisterAutomaton& automaton,
   // with the paper's condition (iii) (isomorphic restrictions: two
   // complete equality types are conjoinable iff equal); for incomplete
   // automata consistency is the sound over-approximation the bounded
-  // searches need.
-  std::vector<std::vector<bool>> compatible(
-      num_symbols, std::vector<bool>(num_symbols, false));
-  if (const compile::GuardTableSet* tables = alphabet.tables()) {
-    // Symbols sharing a guard share a row/column: decide compatibility
-    // once per distinct-guard pair on the precomputed restrictions.
-    const int num_guards = tables->num_guards();
-    std::vector<std::vector<bool>> guard_compatible(
-        num_guards, std::vector<bool>(num_guards, false));
-    for (GuardId g1 : tables->GuardIds()) {
-      const Type& frontier1 = tables->y_restricted_as_x(g1);
-      for (GuardId g2 : tables->GuardIds()) {
-        guard_compatible[g1.value()][g2.value()] =
-            frontier1.Conjoin(tables->x_restricted(g2)).ok();
-      }
+  // searches need. It depends only on the pair of restrictions, so it is
+  // read from the frontier classes: the compiled tables carry them per
+  // guard; without tables the symbols' restrictions are interned here.
+  const compile::GuardTableSet* tables = alphabet.tables();
+  compile::FrontierClasses local;
+  if (tables == nullptr) {
+    const int k = automaton.num_registers();
+    std::vector<Type> y_restricted;
+    y_restricted.reserve(num_symbols);
+    std::vector<const Type*> x_items;
+    std::vector<const Type*> y_items;
+    for (SymbolId s : alphabet.Symbols()) {
+      y_restricted.push_back(RestrictToYAsX(alphabet.guard_of(s), k));
+      x_items.push_back(&alphabet.x_restricted_guard_of(s));
+      y_items.push_back(&y_restricted.back());
     }
-    for (SymbolId s1 : alphabet.Symbols()) {
-      for (SymbolId s2 : alphabet.Symbols()) {
-        compatible[s1.value()][s2.value()] =
-            guard_compatible[alphabet.guard_id_of_symbol(s1).value()]
-                            [alphabet.guard_id_of_symbol(s2).value()];
-      }
+    local = compile::FrontierClasses::Build(x_items, y_items);
+  }
+  const compile::FrontierClasses& classes =
+      tables != nullptr ? tables->frontier() : local;
+  // A symbol's item in `classes`: its guard id under the tables, else the
+  // symbol itself.
+  auto item_of = [&](int symbol) {
+    return tables != nullptr
+               ? alphabet.guard_id_of_symbol(SymbolId(symbol)).value()
+               : symbol;
+  };
+  const int num_x = classes.num_x_classes();
+  const int num_y = classes.num_y_classes();
+
+  // Symbols bucketed by ȳ-class (counting sort, CSR), and for every
+  // x̄-class the ȳ-classes compatible with it (CSR) — the previous symbols
+  // a transition may follow are exactly those buckets.
+  std::vector<int> bucket_start(num_y + 1, 0);
+  for (int s = 0; s < num_symbols; ++s) {
+    ++bucket_start[classes.y_class(item_of(s)).value() + 1];
+  }
+  for (int y = 0; y < num_y; ++y) bucket_start[y + 1] += bucket_start[y];
+  std::vector<int> bucket(num_symbols);
+  {
+    std::vector<int> fill(bucket_start.begin(), bucket_start.end() - 1);
+    for (int s = 0; s < num_symbols; ++s) {
+      bucket[fill[classes.y_class(item_of(s)).value()]++] = s;
     }
-  } else {
-    for (SymbolId s1 : alphabet.Symbols()) {
-      Type frontier1 = RestrictToYAsX(alphabet.guard_of(s1), k);
-      for (SymbolId s2 : alphabet.Symbols()) {
-        compatible[s1.value()][s2.value()] =
-            frontier1.Conjoin(RestrictToX(alphabet.guard_of(s2), k)).ok();
-      }
+  }
+  std::vector<int> follows_start(num_x + 1, 0);
+  std::vector<YClassId> follows;
+  for (XClassId x : IdRange<XClassId>(num_x)) {
+    for (YClassId y : IdRange<YClassId>(num_y)) {
+      if (classes.Compatible(y, x)) follows.push_back(y);
     }
+    follows_start[x.value() + 1] = static_cast<int>(follows.size());
   }
 
   // NBA states: (automaton state, previous symbol or -1),
@@ -119,13 +161,21 @@ Nba BuildSControlNba(const RegisterAutomaton& automaton,
       if (automaton.IsFinal(q)) nba.SetAccepting(id);
     }
   }
+  // Each transition appends at most one edge to each source state, in
+  // transition order, so every per-state list is ordered by transition
+  // index however the previous symbols are visited.
   for (int ti = 0; ti < automaton.num_transitions(); ++ti) {
     const RaTransition& t = automaton.transition(ti);
     const int symbol = alphabet.SymbolOfTransition(ti).value();
-    for (int prev = -1; prev < num_symbols; ++prev) {
-      if (prev >= 0 && !compatible[prev][symbol]) continue;
-      nba.AddTransition(t.from.value() * width + (prev + 1), symbol,
-                        t.to.value() * width + (symbol + 1));
+    const int from = t.from.value() * width;
+    const int to = t.to.value() * width + (symbol + 1);
+    nba.AddTransition(from, symbol, to);
+    const int x = classes.x_class(item_of(symbol)).value();
+    for (int f = follows_start[x]; f < follows_start[x + 1]; ++f) {
+      const int y = follows[f].value();
+      for (int b = bucket_start[y]; b < bucket_start[y + 1]; ++b) {
+        nba.AddTransition(from + bucket[b] + 1, symbol, to);
+      }
     }
   }
   for (StateId q : automaton.InitialStates()) {

@@ -110,6 +110,9 @@ class ControlAlphabet {
 // consecutive types agreeing on the shared registers (frontier
 // compatibility). By the result of [19] (re-proved constructively in
 // Theorem 9), for complete automata SControl(A) = Control(A).
+// Frontier compatibility is read per class pair from the compiled tables'
+// compile::FrontierClasses (interned locally under kInterpreted), so the
+// build is O(states + edges) after that (docs/compilation.md).
 Nba BuildSControlNba(const RegisterAutomaton& automaton,
                      const ControlAlphabet& alphabet);
 

@@ -1,5 +1,7 @@
 #include "ra/random.h"
 
+#include "base/numbers.h"
+
 namespace rav {
 
 RegisterAutomaton RandomAutomaton(std::mt19937& rng,
@@ -8,7 +10,7 @@ RegisterAutomaton RandomAutomaton(std::mt19937& rng,
   const int n = options.num_states;
   RAV_CHECK_GT(n, 0);
   RegisterAutomaton a(k, options.schema);
-  for (int s = 0; s < n; ++s) a.AddState("r" + std::to_string(s));
+  for (int s = 0; s < n; ++s) a.AddState(IndexedName("r", s));
 
   std::uniform_int_distribution<int> state_dist(0, n - 1);
   auto random_state = [&]() { return StateId(state_dist(rng)); };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "base/numbers.h"
+
 namespace rav {
 
 namespace {
@@ -11,12 +13,10 @@ std::string TermToString(const Term& t, const Schema& schema,
                          int num_registers) {
   if (t.kind == Term::Kind::kConstant) return schema.constant_name(t.index);
   if (num_registers > 0 && t.index < 2 * num_registers) {
-    if (t.index < num_registers) {
-      return "x" + std::to_string(t.index + 1);
-    }
-    return "y" + std::to_string(t.index - num_registers + 1);
+    if (t.index < num_registers) return IndexedName("x", t.index + 1);
+    return IndexedName("y", t.index - num_registers + 1);
   }
-  return "v" + std::to_string(t.index);
+  return IndexedName("v", t.index);
 }
 
 DataValue ResolveTerm(const Term& t, const Database& db,

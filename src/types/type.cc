@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <sstream>
 
 #include "base/hash.h"
+#include "base/numbers.h"
 
 namespace rav {
 
@@ -19,10 +21,10 @@ std::string ElementName(int element, int num_vars, int num_constants,
     return schema.constant_name(element - num_vars);
   }
   if (num_registers > 0 && num_vars == 2 * num_registers) {
-    if (element < num_registers) return "x" + std::to_string(element + 1);
-    return "y" + std::to_string(element - num_registers + 1);
+    if (element < num_registers) return IndexedName("x", element + 1);
+    return IndexedName("y", element - num_registers + 1);
   }
-  return "v" + std::to_string(element);
+  return IndexedName("v", element);
 }
 
 }  // namespace
@@ -194,6 +196,67 @@ Result<Type> Type::Conjoin(const Type& other) const {
   builder.AddAll(*this);
   builder.AddAll(other);
   return builder.Build();
+}
+
+bool Type::ConsistentWith(const Type& other) const {
+  RAV_CHECK_EQ(num_vars_, other.num_vars_);
+  RAV_CHECK_EQ(num_constants_, other.num_constants_);
+  // Union-find over this type's classes, merged along `other`'s: via[c] is
+  // a class of this type that other-class c meets. One buffer for both.
+  std::vector<int> buffer(num_classes_ + other.num_classes_);
+  int* const parent = buffer.data();
+  int* const via = parent + num_classes_;
+  std::iota(parent, via, 0);
+  std::fill(via, via + other.num_classes_, -1);
+  auto find = [&](int c) {
+    while (parent[c] != c) c = parent[c] = parent[parent[c]];
+    return c;
+  };
+  for (int e = 0; e < num_elements(); ++e) {
+    int& v = via[other.class_of_[e]];
+    const int c = find(class_of_[e]);
+    if (v < 0) {
+      v = c;
+    } else {
+      parent[c] = find(v);
+    }
+  }
+  // Merged class of a class of this type / of `other`.
+  auto root_this = [&](int c) { return find(c); };
+  auto root_other = [&](int c) { return find(via[c]); };
+  auto diseq_clash = [](const Type& t, const auto& root) {
+    for (const auto& [c1, c2] : t.diseqs_) {
+      if (root(c1) == root(c2)) return true;
+    }
+    return false;
+  };
+  if (diseq_clash(*this, root_this) || diseq_clash(other, root_other)) {
+    return false;
+  }
+  if (atoms_.empty() && other.atoms_.empty()) return true;
+  // Atoms keyed by (relation, merged-class args), sorted so that a key
+  // asserted with both signs — by one type once its classes merged, or by
+  // the two types together — sits in adjacent entries.
+  std::vector<std::pair<std::pair<RelationId, std::vector<int>>, bool>> keyed;
+  keyed.reserve(atoms_.size() + other.atoms_.size());
+  auto add_atoms = [&](const Type& t, const auto& root) {
+    for (const TypeAtom& a : t.atoms_) {
+      std::vector<int> args;
+      args.reserve(a.args.size());
+      for (int c : a.args) args.push_back(root(c));
+      keyed.push_back({{a.relation, std::move(args)}, a.positive});
+    }
+  };
+  add_atoms(*this, root_this);
+  add_atoms(other, root_other);
+  std::sort(keyed.begin(), keyed.end());
+  for (size_t i = 1; i < keyed.size(); ++i) {
+    if (keyed[i].first == keyed[i - 1].first &&
+        keyed[i].second != keyed[i - 1].second) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool Type::operator==(const Type& other) const {

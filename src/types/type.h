@@ -93,6 +93,10 @@ class Type {
   // Conjoins this type with `other` (same element space). Returns an error
   // if the conjunction is unsatisfiable.
   Result<Type> Conjoin(const Type& other) const;
+  // Conjoin(other).ok() without building the conjunction: merges the two
+  // equality partitions and looks only for a disequality inside a merged
+  // class or a relational literal asserted with both signs.
+  bool ConsistentWith(const Type& other) const;
 
   // True iff for every pair of elements both types agree on forced
   // equality, and literal-for-literal the types are the same conjunction.

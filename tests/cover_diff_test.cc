@@ -10,6 +10,7 @@
 #include <random>
 #include <string>
 
+#include "base/numbers.h"
 #include "era/constraint_graph.h"
 #include "era/cover_scratch.h"
 #include "oracle/cover_oracle.h"
@@ -282,7 +283,7 @@ TEST(CoverDiffTest, FreedLeftClassesAreReaugmented) {
   // l2 - rA - l1 - rB; at h = 2 l3 joins and takes rD: cover 3. A sweep
   // that never re-augments freed left classes stops at 2.
   RegisterAutomaton a(2, Schema());
-  for (int i = 0; i < 10; ++i) a.AddState("p" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) a.AddState(IndexedName("p", i));
   a.SetInitial(StateId(0));
   a.SetFinal(StateId(9));
   const Type empty = a.NewGuardBuilder().Build().value();

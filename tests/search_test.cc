@@ -38,7 +38,7 @@ ExtendedAutomaton CompletedEra(const ExtendedAutomaton& era) {
 // enough that worker scheduling could plausibly reorder results.
 ExtendedAutomaton MakeShiftRingSearchEra(int k, int n, bool contradictory) {
   RegisterAutomaton a(k, Schema());
-  for (int s = 0; s < n; ++s) a.AddState("s" + std::to_string(s));
+  for (int s = 0; s < n; ++s) a.AddState(IndexedName("s", s));
   a.SetInitial(StateId(0));
   a.SetFinal(StateId(0));
   for (int s = 0; s < n; ++s) {
@@ -216,7 +216,7 @@ LassoSearchOutcome FullWindowSearch(const ExtendedAutomaton& era,
 ExtendedAutomaton MakeLongFactorEra(int n, int factor) {
   RegisterAutomaton a(1, Schema());
   for (int s = 0; s < n; ++s) {
-    a.AddState("q" + std::to_string(s));
+    a.AddState(IndexedName("q", s));
     a.SetFinal(StateId(s));
   }
   a.SetInitial(StateId(0));
@@ -299,7 +299,7 @@ TEST(ProbeWindowSearch, MatchesFullWindowOnRandomAutomata) {
                          /*is_equality=*/coin(rng) == 1, dfa)
                       .ok());
     }
-    SCOPED_TRACE("iteration " + std::to_string(iteration));
+    SCOPED_TRACE(IndexedName("iteration ", iteration));
     ExpectProbeSearchMatchesFullWindow(CompletedEra(era));
   }
 }

@@ -18,6 +18,7 @@
 #include "automata/lasso.h"
 #include "base/concurrent_set.h"
 #include "base/governor.h"
+#include "base/numbers.h"
 #include "base/state_pool.h"
 #include "era/emptiness.h"
 #include "ra/random.h"
@@ -343,7 +344,7 @@ TEST(SharedSearchDifferentialTest, SharedModeIsDeterministicAcrossWorkers) {
 // its entire bounded space.
 ExtendedAutomaton MakeShiftRingSearchEra(int k, int n, bool contradictory) {
   RegisterAutomaton a(k, Schema());
-  for (int s = 0; s < n; ++s) a.AddState("s" + std::to_string(s));
+  for (int s = 0; s < n; ++s) a.AddState(IndexedName("s", s));
   a.SetInitial(StateId(0));
   a.SetFinal(StateId(0));
   for (int s = 0; s < n; ++s) {

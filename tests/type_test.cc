@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "relational/database.h"
 #include "types/type.h"
 
@@ -161,6 +163,57 @@ TEST(TypeTest, ConjoinDetectsContradiction) {
   TypeBuilder b2(2, 0);
   b2.AddNeq(ElementIndex(0), ElementIndex(1));
   EXPECT_FALSE(b1.Build().value().Conjoin(b2.Build().value()).ok());
+}
+
+TEST(TypeTest, ConsistentWithAgreesWithConjoin) {
+  // Random satisfiable types over 4 variables + 1 constant with a unary
+  // and a binary relation: ConsistentWith must decide exactly
+  // Conjoin(..).ok(), including clashes that appear only once the two
+  // equality partitions merge.
+  Schema schema;
+  schema.AddRelation("P", 1);
+  schema.AddRelation("E", 2);
+  schema.AddConstant("c");
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<int> element(0, 4);
+  std::uniform_int_distribution<int> kind(0, 3);
+  std::uniform_int_distribution<int> count(1, 7);
+  auto random_type = [&] {
+    for (;;) {
+      TypeBuilder b(4, 1);
+      for (int n = count(rng); n > 0; --n) {
+        const ElementIndex e1(element(rng));
+        const ElementIndex e2(element(rng));
+        switch (kind(rng)) {
+          case 0:
+            b.AddEq(e1, e2);
+            break;
+          case 1:
+            if (e1 != e2) b.AddNeq(e1, e2);
+            break;
+          case 2:
+            b.AddAtom(0, {e1}, kind(rng) < 2);
+            break;
+          default:
+            b.AddAtom(1, {e1, e2}, kind(rng) < 2);
+            break;
+        }
+      }
+      Result<Type> t = b.Build();
+      if (t.ok()) return *t;
+    }
+  };
+  int consistent = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const Type a = random_type();
+    const Type b = random_type();
+    const bool want = a.Conjoin(b).ok();
+    EXPECT_EQ(a.ConsistentWith(b), want)
+        << a.ToString(schema) << " vs " << b.ToString(schema);
+    consistent += want;
+  }
+  EXPECT_GT(consistent, 300);
+  EXPECT_LT(consistent, 2700);
 }
 
 TEST(TypeTest, IsEqualityComplete) {

@@ -4,7 +4,8 @@
 #   tools/run_ci.sh [output.json]
 #
 # Pipeline (docs/observability.md):
-#   1. configure + build the default preset (build/)
+#   1. configure + build the default preset (build/), plus a Release
+#      build of the whole tree (build-rel/)
 #   2. ctest (the tier-1 suite)
 #   3. every bench binary with `--report reports/<bench>.json`
 #   4. report_merge -> BENCH_RESULTS.json (validates every report's
@@ -59,6 +60,14 @@ BENCH_TIMEOUT="${RAV_BENCH_TIMEOUT:-600}"
 echo "== configure + build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
+
+echo "== Release build =="
+# The default build is RelWithDebInfo. Some -Werror diagnostics only fire
+# at -O3 (GCC 12's -Wrestrict, for one), so the tree is also built the
+# way a Release consumer would build it. `rav` is an INTERFACE target, so
+# this builds everything rather than naming it.
+cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-rel -j "$JOBS"
 
 echo "== tests =="
 ctest --test-dir build --output-on-failure -j "$JOBS"
@@ -580,7 +589,7 @@ EOF
 
 echo "== perf-regression gate =="
 # The hot benchmarks below guard the closure engine, the G^w_h cover
-# kernel, and the decision procedures built on them. Their time per
+# kernel, the SControl builder, and the decision procedures built on them. Their time per
 # iteration is compared against the committed baseline (the HEAD version
 # of BENCH_RESULTS.json — the working-tree file was just overwritten by
 # this run). Benchmarks absent from the baseline (new in this change) are
@@ -612,6 +621,7 @@ HOT_PREFIXES = (
     "BM_MaxCutVertexCoverSkipRing",
     "BM_LrBoundShiftRingParallel/",
     "BM_LrBoundAllDistinct",
+    "BM_BuildSControl/",
 )
 
 def times(path):
