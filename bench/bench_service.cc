@@ -7,15 +7,21 @@
 // the compile front-loads. Both paths go through the real wire seam
 // (service::ParseRequest + Service::Handle), so the measured gap is
 // what a rav_serve / `rav_cli batch` client actually sees.
+// BM_CompileConstraint isolates one term of the compile: a two-symbol
+// global constraint compiled over |Q| = 8…1024 states (the shape every
+// dead unit adds), which compiles over symbol classes and so stays flat
+// in |Q| apart from the dense row fill.
 // Counters: dead_units, fresh_ms_per_query, cached_ms_per_query,
-// amortization_ratio, compile_ms.
+// amortization_ratio, compile_ms; states, dfa_states.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "automata/regex.h"
 #include "base/logging.h"
 #include "bench_common.h"
 #include "service/compiled_spec.h"
@@ -115,6 +121,24 @@ void BM_FreshCompilePerQuery(benchmark::State& state) {
   state.counters["compile_ms"] = compile_ms;
 }
 
+// One constraint of the E21 dead unit ("orphan ping": the orphan is a
+// high state id, ping is state 0), compiled the way AddConstraint does
+// it: regex → dense complete DFA over Q, then its coreachable set.
+void BM_CompileConstraint(benchmark::State& state) {
+  const int states = static_cast<int>(state.range(0));
+  const Regex regex =
+      Regex::Concat(Regex::Symbol(states - 1), Regex::Symbol(0));
+  int dfa_states = 0;
+  for (auto _ : state) {
+    Dfa dfa = regex.ToDfa(states);
+    std::vector<bool> coreachable = dfa.CoreachableStates();
+    dfa_states = dfa.num_states();
+    benchmark::DoNotOptimize(coreachable);
+  }
+  state.counters["states"] = states;
+  state.counters["dfa_states"] = dfa_states;
+}
+
 // Amortized: one Service compiled the spec once; every iteration is a
 // hash-addressed query against the shared immutable CompiledSpec.
 void BM_CachedSpecQuery(benchmark::State& state) {
@@ -173,6 +197,8 @@ void BM_AmortizationRatio(benchmark::State& state) {
 
 BENCHMARK(BM_FreshCompilePerQuery)->Arg(0)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CompileConstraint)->RangeMultiplier(2)->Range(8, 1024)
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CachedSpecQuery)->Arg(0)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AmortizationRatio)->Arg(64)->Iterations(1)

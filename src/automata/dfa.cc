@@ -1,6 +1,7 @@
 #include "automata/dfa.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <queue>
@@ -126,6 +127,29 @@ Dfa Dfa::Minimize() const {
   return out;
 }
 
+Dfa Dfa::ExpandLetters(int alphabet_size,
+                       const std::vector<std::pair<int, int>>& symbol_letters,
+                       int other_letter) const {
+  RAV_CHECK_GE(other_letter, 0);
+  RAV_CHECK_LT(other_letter, alphabet_size_);
+  for (const auto& [symbol, letter] : symbol_letters) {
+    RAV_CHECK_GE(symbol, 0);
+    RAV_CHECK_LT(symbol, alphabet_size);
+    RAV_CHECK_GE(letter, 0);
+    RAV_CHECK_LT(letter, alphabet_size_);
+  }
+  std::vector<std::vector<int>> next;
+  next.reserve(next_.size());
+  for (const std::vector<int>& from : next_) {
+    std::vector<int>& row =
+        next.emplace_back(alphabet_size, from[other_letter]);
+    for (const auto& [symbol, letter] : symbol_letters) {
+      row[symbol] = from[letter];
+    }
+  }
+  return Dfa(alphabet_size, initial_, std::move(next), accepting_);
+}
+
 bool Dfa::IsEmptyLanguage() const {
   std::vector<bool> visited(num_states(), false);
   std::queue<int> q;
@@ -147,11 +171,30 @@ bool Dfa::IsEmptyLanguage() const {
 }
 
 std::vector<bool> Dfa::CoreachableStates() const {
-  // Reverse BFS from the accepting states.
-  std::vector<std::vector<int>> reverse(num_states());
-  for (int s = 0; s < num_states(); ++s) {
-    for (int symbol = 0; symbol < alphabet_size_; ++symbol) {
-      reverse[next_[s][symbol]].push_back(s);
+  // Reverse BFS from the accepting states over the distinct reverse
+  // edges. A row repeats a few successors in long runs across the
+  // alphabet: a block of it that is one run (each entry equals the next:
+  // one memcmp of the block against itself shifted by one) marks one
+  // successor, a mixed block marks entry by entry, and each marked
+  // (state, successor) pair becomes one reverse edge.
+  constexpr int kBlock = 64;
+  const int n = num_states();
+  std::vector<std::vector<int>> reverse(n);
+  std::vector<char> successor(n, 0);
+  for (int s = 0; s < n; ++s) {
+    const int* row = next_[s].data();
+    for (int base = 0; base < alphabet_size_; base += kBlock) {
+      const int len = std::min(kBlock, alphabet_size_ - base);
+      if (std::memcmp(row + base, row + base + 1,
+                      (len - 1) * sizeof(int)) == 0) {
+        successor[row[base]] = 1;
+        continue;
+      }
+      for (int k = 0; k < len; ++k) successor[row[base + k]] = 1;
+    }
+    for (int t = 0; t < n; ++t) {
+      if (successor[t]) reverse[t].push_back(s);
+      successor[t] = 0;
     }
   }
   std::vector<bool> coreachable(num_states(), false);

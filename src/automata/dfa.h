@@ -1,6 +1,7 @@
 #ifndef RAV_AUTOMATA_DFA_H_
 #define RAV_AUTOMATA_DFA_H_
 
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -63,6 +64,15 @@ class Dfa {
   // canonical minimal complete DFA of the language (up to state order).
   Dfa Minimize() const;
 
+  // The DFA over [0, alphabet_size) that reads symbol s as this DFA's
+  // letter L for each pair (s, L) of `symbol_letters` and every other
+  // symbol as `other_letter`: same states, numbering, initial state and
+  // accepting set. One row fill per state plus one write per pair;
+  // Regex::ToDfa expands its symbol-class DFA with it.
+  Dfa ExpandLetters(int alphabet_size,
+                    const std::vector<std::pair<int, int>>& symbol_letters,
+                    int other_letter) const;
+
   // True iff the language is empty.
   bool IsEmptyLanguage() const;
 
@@ -77,6 +87,13 @@ class Dfa {
   bool EquivalentTo(const Dfa& other) const;
 
  private:
+  Dfa(int alphabet_size, int initial, std::vector<std::vector<int>> next,
+      std::vector<bool> accepting)
+      : alphabet_size_(alphabet_size),
+        initial_(initial),
+        next_(std::move(next)),
+        accepting_(std::move(accepting)) {}
+
   int alphabet_size_;
   int initial_;
   std::vector<std::vector<int>> next_;

@@ -1,5 +1,6 @@
 #include "automata/regex.h"
 
+#include <algorithm>
 #include <cctype>
 #include <utility>
 #include <vector>
@@ -264,7 +265,9 @@ Result<Regex> Regex::Parse(
 // ---------------------------------------------------------------------------
 // Compilation
 
-std::pair<int, int> Regex::Build(const Node& node, Nfa& nfa) const {
+std::pair<int, int> Regex::Build(const Node& node,
+                                 const SymbolLetters& symbol_letters,
+                                 Nfa& nfa) const {
   int start = nfa.AddState();
   int accept = nfa.AddState();
   switch (node.op) {
@@ -273,26 +276,29 @@ std::pair<int, int> Regex::Build(const Node& node, Nfa& nfa) const {
     case Op::kEpsilon:
       nfa.AddTransition(start, Nfa::kEpsilon, accept);
       break;
-    case Op::kSymbol:
-      RAV_CHECK_LT(node.symbol, nfa.alphabet_size());
-      nfa.AddTransition(start, node.symbol, accept);
+    case Op::kSymbol: {
+      auto it = std::lower_bound(symbol_letters.begin(), symbol_letters.end(),
+                                 std::make_pair(node.symbol, -1));
+      RAV_CHECK(it != symbol_letters.end() && it->first == node.symbol);
+      nfa.AddTransition(start, it->second, accept);
       break;
+    }
     case Op::kAny:
       for (int s = 0; s < nfa.alphabet_size(); ++s) {
         nfa.AddTransition(start, s, accept);
       }
       break;
     case Op::kConcat: {
-      auto [ls, la] = Build(*node.left, nfa);
-      auto [rs, ra] = Build(*node.right, nfa);
+      auto [ls, la] = Build(*node.left, symbol_letters, nfa);
+      auto [rs, ra] = Build(*node.right, symbol_letters, nfa);
       nfa.AddTransition(start, Nfa::kEpsilon, ls);
       nfa.AddTransition(la, Nfa::kEpsilon, rs);
       nfa.AddTransition(ra, Nfa::kEpsilon, accept);
       break;
     }
     case Op::kUnion: {
-      auto [ls, la] = Build(*node.left, nfa);
-      auto [rs, ra] = Build(*node.right, nfa);
+      auto [ls, la] = Build(*node.left, symbol_letters, nfa);
+      auto [rs, ra] = Build(*node.right, symbol_letters, nfa);
       nfa.AddTransition(start, Nfa::kEpsilon, ls);
       nfa.AddTransition(start, Nfa::kEpsilon, rs);
       nfa.AddTransition(la, Nfa::kEpsilon, accept);
@@ -300,7 +306,7 @@ std::pair<int, int> Regex::Build(const Node& node, Nfa& nfa) const {
       break;
     }
     case Op::kStar: {
-      auto [ls, la] = Build(*node.left, nfa);
+      auto [ls, la] = Build(*node.left, symbol_letters, nfa);
       nfa.AddTransition(start, Nfa::kEpsilon, accept);
       nfa.AddTransition(start, Nfa::kEpsilon, ls);
       nfa.AddTransition(la, Nfa::kEpsilon, ls);
@@ -311,16 +317,59 @@ std::pair<int, int> Regex::Build(const Node& node, Nfa& nfa) const {
   return {start, accept};
 }
 
-Nfa Regex::ToNfa(int alphabet_size) const {
-  Nfa nfa(alphabet_size);
-  auto [start, accept] = Build(*node_, nfa);
+Nfa Regex::BuildNfa(int num_letters,
+                    const SymbolLetters& symbol_letters) const {
+  Nfa nfa(num_letters);
+  auto [start, accept] = Build(*node_, symbol_letters, nfa);
   nfa.SetInitial(start);
   nfa.SetAccepting(accept);
   return nfa;
 }
 
+Nfa Regex::ToNfa(int alphabet_size) const {
+  SymbolLetters identity(alphabet_size);
+  for (int s = 0; s < alphabet_size; ++s) identity[s] = {s, s};
+  return BuildNfa(alphabet_size, identity);
+}
+
 Dfa Regex::ToDfa(int alphabet_size) const {
-  return ToNfa(alphabet_size).Determinize().Minimize();
+  // The symbols the expression names, ascending.
+  std::vector<int> named;
+  std::vector<const Node*> stack = {node_.get()};
+  while (!stack.empty()) {
+    const Node* n = stack.back();
+    stack.pop_back();
+    if (n->op == Op::kSymbol) named.push_back(n->symbol);
+    if (n->left != nullptr) stack.push_back(n->left.get());
+    if (n->right != nullptr) stack.push_back(n->right.get());
+  }
+  std::sort(named.begin(), named.end());
+  named.erase(std::unique(named.begin(), named.end()), named.end());
+  RAV_CHECK(named.empty() || named.back() < alphabet_size);
+
+  // Symbol classes: each named symbol alone, every unnamed symbol in one
+  // shared class (only `.` matches them, so every NFA state set steps
+  // alike on all of them). Letters are numbered in order of their least
+  // member; a DFA over letters then discovers its subsets, reachable
+  // states and Moore blocks in the same order as one over the symbols,
+  // whose first occurrence of each letter is at that member. The least
+  // unnamed symbol is the first index the ascending `named` skips; the
+  // unnamed class's letter is that same index.
+  int first_unnamed = 0;
+  while (first_unnamed < static_cast<int>(named.size()) &&
+         named[first_unnamed] == first_unnamed) {
+    ++first_unnamed;
+  }
+  SymbolLetters symbol_letters(named.size());
+  for (int i = 0; i < static_cast<int>(named.size()); ++i) {
+    symbol_letters[i] = {named[i], i < first_unnamed ? i : i + 1};
+  }
+  const bool has_unnamed = first_unnamed < alphabet_size;
+  const int num_letters = static_cast<int>(named.size()) + has_unnamed;
+  Dfa dfa = BuildNfa(num_letters, symbol_letters).Determinize().Minimize();
+  // Every symbol named: the letters are the symbols themselves.
+  if (!has_unnamed) return dfa;
+  return dfa.ExpandLetters(alphabet_size, symbol_letters, first_unnamed);
 }
 
 std::string Regex::ToString(const std::function<std::string(int)>& name) const {

@@ -4,6 +4,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "automata/dfa.h"
 #include "automata/nfa.h"
@@ -47,9 +49,17 @@ class Regex {
       const std::string& text,
       const std::function<int(const std::string&)>& resolve);
 
-  // Thompson construction.
+  // Thompson construction over the full alphabet.
   Nfa ToNfa(int alphabet_size) const;
-  // Determinized and minimized.
+  // The minimal complete DFA over [0, alphabet_size). Compiled over
+  // symbol classes: one letter per symbol the expression names plus one
+  // letter for every other symbol (those only `.` can match), ordered by
+  // least member; Thompson, subset construction and minimization run
+  // over those letters and the result is expanded back to the dense
+  // alphabet. The ordering keeps subset discovery and block numbering
+  // identical to ToNfa(alphabet_size).Determinize().Minimize(), so the
+  // DFA is the same one, state for state, at O(named symbols) instead of
+  // O(alphabet_size) per construction step (docs/compilation.md).
   Dfa ToDfa(int alphabet_size) const;
 
   // Renders with `name` supplying symbol names.
@@ -67,8 +77,17 @@ class Regex {
 
   explicit Regex(std::shared_ptr<const Node> node) : node_(std::move(node)) {}
 
+  // (symbol, letter) pairs sorted by symbol.
+  using SymbolLetters = std::vector<std::pair<int, int>>;
+
+  // Thompson construction over `num_letters` letters: symbol s reads as
+  // letter L for its pair (s, L) in `symbol_letters` (which must list
+  // every symbol the expression names), and `.` as every letter.
+  Nfa BuildNfa(int num_letters, const SymbolLetters& symbol_letters) const;
   // Recursive Thompson construction helper; returns (start, accept).
-  std::pair<int, int> Build(const Node& node, Nfa& nfa) const;
+  std::pair<int, int> Build(const Node& node,
+                            const SymbolLetters& symbol_letters,
+                            Nfa& nfa) const;
 
   std::shared_ptr<const Node> node_;
 };

@@ -302,7 +302,13 @@ class TfParser {
     auto resolve_term = [&](const std::string& term) -> Result<int> {
       if (term.size() >= 2 && (term[0] == 'x' || term[0] == 'y') &&
           std::isdigit(static_cast<unsigned char>(term[1]))) {
-        int index = std::stoi(term.substr(1));
+        Result<int> parsed = ParseInt32(term.substr(1));
+        if (!parsed.ok()) {
+          return Status::InvalidArgument(
+              "text format: malformed register term '" + term +
+              "' (registers are x<i>/y<i>)");
+        }
+        const int index = *parsed;
         if (index < 1 || index > k) {
           return Status::InvalidArgument("text format: register index of '" +
                                          term + "' out of range");

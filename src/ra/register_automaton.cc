@@ -1,5 +1,7 @@
 #include "ra/register_automaton.h"
 
+#include <algorithm>
+#include <functional>
 #include <sstream>
 #include <unordered_set>
 
@@ -10,9 +12,30 @@ RegisterAutomaton::RegisterAutomaton(int num_registers, Schema schema)
   RAV_CHECK_GE(num_registers, 0);
 }
 
+namespace {
+
+// Inserts state `id` into the open-addressing name index `slots` (which
+// has a free slot), hashing `name`.
+void IndexName(std::vector<int>& slots, const std::string& name, int id) {
+  const size_t mask = slots.size() - 1;
+  size_t i = std::hash<std::string>{}(name) & mask;
+  while (slots[i] >= 0) i = (i + 1) & mask;
+  slots[i] = id;
+}
+
+}  // namespace
+
 StateId RegisterAutomaton::AddState(const std::string& name) {
   RAV_CHECK(!FindState(name).valid());
   state_names_.push_back(name);
+  if (state_names_.size() * 2 > name_slots_.size()) {
+    name_slots_.assign(std::max<size_t>(16, name_slots_.size() * 2), -1);
+    for (int id = 0; id < num_states(); ++id) {
+      IndexName(name_slots_, state_names_[id], id);
+    }
+  } else {
+    IndexName(name_slots_, name, num_states() - 1);
+  }
   initial_.push_back(false);
   final_.push_back(false);
   transitions_from_.emplace_back();
@@ -75,8 +98,11 @@ const std::string& RegisterAutomaton::state_name(StateId s) const {
 }
 
 StateId RegisterAutomaton::FindState(const std::string& name) const {
-  for (StateId s : States()) {
-    if (state_names_[s.value()] == name) return s;
+  if (name_slots_.empty()) return StateId::Invalid();
+  const size_t mask = name_slots_.size() - 1;
+  for (size_t i = std::hash<std::string>{}(name) & mask; name_slots_[i] >= 0;
+       i = (i + 1) & mask) {
+    if (state_names_[name_slots_[i]] == name) return StateId(name_slots_[i]);
   }
   return StateId::Invalid();
 }

@@ -65,7 +65,8 @@ class RegisterAutomaton {
   // The dense state id space, iterable: `for (StateId q : a.States())`.
   IdRange<StateId> States() const { return IdRange<StateId>(num_states()); }
   const std::string& state_name(StateId s) const;
-  // StateId::Invalid() when no state has that name.
+  // StateId::Invalid() when no state has that name. O(1) expected: one
+  // probe sequence in the name index.
   StateId FindState(const std::string& name) const;
   bool IsInitial(StateId s) const { return initial_[s.value()]; }
   bool IsFinal(StateId s) const { return final_[s.value()]; }
@@ -90,6 +91,10 @@ class RegisterAutomaton {
   int num_registers_;
   Schema schema_;
   std::vector<std::string> state_names_;
+  // Open-addressing index over state_names_: slot -> state id, -1 empty;
+  // power-of-two size, load kept at most 1/2. It holds ids, not pointers,
+  // so a copied automaton's index is valid as copied.
+  std::vector<int> name_slots_;
   std::vector<bool> initial_;
   std::vector<bool> final_;
   std::vector<RaTransition> transitions_;

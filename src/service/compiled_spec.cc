@@ -97,10 +97,13 @@ Result<std::shared_ptr<const CompiledSpec>> CompiledSpec::Compile(
   spec->states_stripped_ = strip.states_removed;
   spec->transitions_stripped_ = strip.transitions_removed;
   spec->constraints_stripped_ = strip.constraints_removed;
-  spec->compile_ms_ = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  spec->compile_ms_ =
+      std::chrono::duration<double, std::milli>(elapsed).count();
   RAV_METRIC_COUNT("service/compiles", 1);
+  RAV_METRIC_RECORD(
+      "service/compile_us",
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
   return std::shared_ptr<const CompiledSpec>(std::move(spec));
 }
 

@@ -6,7 +6,9 @@
 // Strategy: start from the committed seed specs in tests/data/, then
 // drive a fixed-seed PRNG through several mutation families — byte
 // flips, truncations, splices of two seeds, token-level insertions of
-// grammar keywords, and pure garbage — for at least 10k inputs
+// grammar keywords, digit-run inflation (register terms x<i>/y<i> and
+// numbers grown past int range or given a letter tail), and pure
+// garbage — for at least 10k inputs
 // (override with RAV_FUZZ_SMOKE_INPUTS). Every input must satisfy:
 //
 //   1. ParseExtendedAutomaton never crashes, hangs, or throws;
@@ -17,6 +19,7 @@
 // coverage-guided variant.
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <iterator>
@@ -82,7 +85,7 @@ class FuzzDriver {
   FuzzDriver() : seeds_(LoadSeeds()), rng_(42) {}
 
   std::string Next() {
-    switch (rng_() % 6) {
+    switch (rng_() % 7) {
       case 0:
         return FlipBytes(Pick());
       case 1:
@@ -93,6 +96,8 @@ class FuzzDriver {
         return InsertTokens(Pick());
       case 4:
         return Garbage();
+      case 5:
+        return InflateDigits(Pick());
       default:
         return Pick();  // unmutated seeds keep the accepted path hot
     }
@@ -128,6 +133,36 @@ class FuzzDriver {
       s.insert(at, std::string(" ") + token + " ");
     }
     return s;
+  }
+
+  // Rewrites one digit run (the index of an x<i>/y<i> term, a register
+  // count, a constraint register) into 10–24 digits, or gives it a
+  // letter tail ("x1" → "x1abc"): both must be parse errors, never an
+  // exception or a silently truncated index.
+  std::string InflateDigits(std::string s) {
+    std::vector<size_t> runs;
+    for (size_t i = 0; i < s.size(); ++i) {
+      if (std::isdigit(static_cast<unsigned char>(s[i])) &&
+          (i == 0 || !std::isdigit(static_cast<unsigned char>(s[i - 1])))) {
+        runs.push_back(i);
+      }
+    }
+    if (runs.empty()) return s;
+    const size_t start = runs[rng_() % runs.size()];
+    size_t end = start;
+    while (end < s.size() && std::isdigit(static_cast<unsigned char>(s[end]))) {
+      ++end;
+    }
+    std::string replacement;
+    if (rng_() % 4 == 0) {
+      replacement = s.substr(start, end - start) + "abc";
+    } else {
+      replacement.push_back(static_cast<char>('1' + rng_() % 9));
+      for (int n = 9 + static_cast<int>(rng_() % 15); n > 0; --n) {
+        replacement.push_back(static_cast<char>('0' + rng_() % 10));
+      }
+    }
+    return s.replace(start, end - start, replacement);
   }
 
   std::string Garbage() {

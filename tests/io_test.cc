@@ -138,6 +138,22 @@ TEST(TextFormatTest, RejectsOutOfRangeNumbers) {
   EXPECT_FALSE(bad.ok());
 }
 
+// Fuzz-found: an overlong register index threw std::out_of_range out of
+// the parser (one request killed rav_serve), and a letter tail after the
+// index was dropped silently ("x1abc" read as "x1").
+TEST(TextFormatTest, RejectsMalformedRegisterTerms) {
+  for (const char* term : {"x99999999999", "x1abc", "y2147483648"}) {
+    SCOPED_TRACE(term);
+    auto bad = ParseRegisterAutomaton(
+        std::string("automaton { registers 1 state q initial final "
+                    "transition q -> q { ") +
+        term + " = y1 } }");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_NE(bad.status().message().find(term), std::string::npos)
+        << bad.status().message();
+  }
+}
+
 TEST(TextFormatTest, RejectsUnsatisfiableGuard) {
   auto bad = ParseRegisterAutomaton(
       "automaton { registers 1 state q initial final "

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "base/failpoints.h"
+#include "base/metrics.h"
 #include "base/report.h"
 #include "service/compiled_spec.h"
 #include "service/request.h"
@@ -88,6 +89,21 @@ TEST(CompiledSpecTest, CompilesCleanSpecOnce) {
   EXPECT_TRUE((*spec)->emptiness_subject().automaton().IsComplete());
   EXPECT_GT((*spec)->emptiness_alphabet().size(), 0);
   EXPECT_GE((*spec)->compile_ms(), 0.0);
+}
+
+TEST(CompiledSpecTest, RecordsCompileLatencyHistogram) {
+  auto histogram = [] {
+    for (const metrics::MetricSnapshot& m : metrics::Snapshot()) {
+      if (m.name == "service/compile_us") return m;
+    }
+    return metrics::MetricSnapshot{};
+  };
+  const uint64_t before = histogram().histogram.count;
+  ASSERT_TRUE(CompiledSpec::Compile(kPingPong).ok());
+  ASSERT_TRUE(CompiledSpec::Compile(kPingPongWithDeadState).ok());
+  const metrics::MetricSnapshot after = histogram();
+  EXPECT_EQ(after.kind, metrics::MetricKind::kHistogram);
+  EXPECT_EQ(after.histogram.count, before + 2);
 }
 
 TEST(CompiledSpecTest, ParseErrorIsFatal) {
@@ -240,6 +256,24 @@ TEST(ServiceTest, SpecHashReusesTheCompiledSpec) {
   EXPECT_TRUE(second.ok) << second.error;
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.verdict, "NONEMPTY");
+}
+
+// A spec whose register index overflows int used to throw out of the
+// parser and take the whole server down; it must come back as an error
+// response, and the service must answer the next request.
+TEST(ServiceTest, MalformedRegisterTermIsAnErrorResponse) {
+  Service service;
+  QueryResponse bad = service.Handle(SpecRequest(
+      "r1", Op::kEmpty,
+      "automaton { registers 1 state q initial final "
+      "transition q -> q { x99999999999 = y1 } }"));
+  EXPECT_FALSE(bad.ok);
+  EXPECT_NE(bad.error.find("x99999999999"), std::string::npos) << bad.error;
+  EXPECT_EQ(bad.exit_equivalent, 1);
+  QueryResponse next =
+      service.Handle(SpecRequest("r2", Op::kEmpty, kPingPong));
+  EXPECT_TRUE(next.ok) << next.error;
+  EXPECT_EQ(next.verdict, "NONEMPTY");
 }
 
 TEST(ServiceTest, UnknownSpecHashIsANamedError) {

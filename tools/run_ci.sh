@@ -589,7 +589,8 @@ EOF
 
 echo "== perf-regression gate =="
 # The hot benchmarks below guard the closure engine, the G^w_h cover
-# kernel, the SControl builder, and the decision procedures built on them. Their time per
+# kernel, the SControl builder, spec and constraint compilation, and the
+# decision procedures built on them. Their time per
 # iteration is compared against the committed baseline (the HEAD version
 # of BENCH_RESULTS.json — the working-tree file was just overwritten by
 # this run). Benchmarks absent from the baseline (new in this change) are
@@ -622,6 +623,8 @@ HOT_PREFIXES = (
     "BM_LrBoundShiftRingParallel/",
     "BM_LrBoundAllDistinct",
     "BM_BuildSControl/",
+    "BM_FreshCompilePerQuery/",
+    "BM_CompileConstraint/",
 )
 
 def times(path):
