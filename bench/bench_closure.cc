@@ -1,17 +1,25 @@
-// E17 — Constraint-closure engines (linear sweep vs reference restarts).
+// E17 — Constraint-closure construction: the production kernel against
+// the reference closure of tests/oracle (per-start DFA restarts).
 // Claim: resolving the global constraints with one forward sweep over
 // grouped DFA runs is O(window · |Q_dfa|) per constraint instead of the
 // per-start-restart O(window²), so closure construction speeds up
 // super-linearly in the window; growing a closure with ExtendedBy costs
-// one cycle of sweep instead of a full rebuild. Both engines are checked
-// for identical classes/edges/consistency on every configuration.
+// one cycle of sweep instead of a full rebuild; and a drain candidate the
+// probe window refutes costs one consistency scan, with no
+// canonicalization and no allocation. Kernel and oracle are checked for
+// identical classes/edges/consistency on every configuration.
 // Counters: window, constraints, classes, ineq_edges.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "automata/nba.h"
+#include "base/numbers.h"
 #include "era/constraint_graph.h"
+#include "era/emptiness.h"
+#include "oracle/closure_oracle.h"
 #include "ra/control.h"
+#include "service/compiled_spec.h"
 
 namespace rav {
 namespace {
@@ -68,10 +76,9 @@ LassoWord AnchoredWord(const RegisterAutomaton& a,
 void CheckEnginesAgree(const ExtendedAutomaton& era,
                        const ControlAlphabet& alphabet, const LassoWord& word,
                        size_t window) {
-  ConstraintClosure fast(era, alphabet, word, window, nullptr,
-                         ClosureEngine::kLinear);
-  ConstraintClosure slow =
-      ReferenceConstraintClosure(era, alphabet, word, window);
+  ConstraintClosure fast(era, alphabet, word, window);
+  const oracle::ReferenceClosure slow =
+      oracle::ReferenceConstraintClosure(era, alphabet, word, window);
   RAV_CHECK(fast.consistent() == slow.consistent());
   RAV_CHECK_EQ(fast.num_classes(), slow.num_classes());
   for (int v = 0; v < fast.num_nodes(); ++v) {
@@ -80,7 +87,8 @@ void CheckEnginesAgree(const ExtendedAutomaton& era,
   RAV_CHECK(fast.InequalityEdges() == slow.InequalityEdges());
 }
 
-void RunClosureBench(benchmark::State& state, ClosureEngine engine) {
+template <typename Build>
+void RunClosureBench(benchmark::State& state, Build build) {
   const size_t window = static_cast<size_t>(state.range(0));
   const int num_constraints = static_cast<int>(state.range(1));
   ExtendedAutomaton era = MakeAnchoredConstraintEra(num_constraints);
@@ -91,7 +99,7 @@ void RunClosureBench(benchmark::State& state, ClosureEngine engine) {
   int classes = 0;
   size_t edges = 0;
   for (auto _ : state) {
-    ConstraintClosure closure(era, alphabet, word, window, &scratch, engine);
+    auto closure = build(era, alphabet, word, window, scratch);
     classes = closure.num_classes();
     edges = closure.InequalityEdges().size();
     benchmark::DoNotOptimize(closure);
@@ -103,7 +111,12 @@ void RunClosureBench(benchmark::State& state, ClosureEngine engine) {
 }
 
 void BM_ClosureLinear(benchmark::State& state) {
-  RunClosureBench(state, ClosureEngine::kLinear);
+  RunClosureBench(state, [](const ExtendedAutomaton& era,
+                            const ControlAlphabet& alphabet,
+                            const LassoWord& word, size_t window,
+                            ClosureScratch& scratch) {
+    return ConstraintClosure(era, alphabet, word, window, &scratch);
+  });
 }
 // MinTime keeps the engine-vs-engine ratios stable run to run (these two
 // families feed the perf gate and the E17 speedup claims).
@@ -112,7 +125,12 @@ BENCHMARK(BM_ClosureLinear)
     ->MinTime(0.5);
 
 void BM_ClosureReference(benchmark::State& state) {
-  RunClosureBench(state, ClosureEngine::kReference);
+  RunClosureBench(state, [](const ExtendedAutomaton& era,
+                            const ControlAlphabet& alphabet,
+                            const LassoWord& word, size_t window,
+                            ClosureScratch&) {
+    return oracle::ReferenceConstraintClosure(era, alphabet, word, window);
+  });
 }
 BENCHMARK(BM_ClosureReference)
     ->ArgsProduct({{10, 20, 40, 80, 160}, {2, 4, 8}})
@@ -127,8 +145,7 @@ void BM_ClosureExtendOneCycle(benchmark::State& state) {
   ControlAlphabet alphabet(era.automaton());
   LassoWord word = AnchoredWord(era.automaton(), alphabet);
   ClosureScratch scratch;
-  ConstraintClosure base(era, alphabet, word, window, &scratch,
-                         ClosureEngine::kLinear);
+  ConstraintClosure base(era, alphabet, word, window, &scratch);
   for (auto _ : state) {
     ConstraintClosure wider = base.ExtendedBy(1, &scratch);
     benchmark::DoNotOptimize(wider);
@@ -173,6 +190,76 @@ void BM_ClosureExample5(benchmark::State& state) {
   state.counters["window"] = static_cast<double>(window);
 }
 BENCHMARK(BM_ClosureExample5)->Arg(8)->Arg(32);
+
+// The serving benchmark's search_drain `empty` requests: a 3-register
+// shift ring over n states with skip edges s -> s+2 (which also assert
+// x1 = y1) and the contradictory pair of constraints over every s0 ... s0
+// factor, compiled as the service compiles it.
+std::string DrainRingSpec(int n) {
+  const std::string shift = "x1 = y2  x2 = y3  ";
+  std::string t = "automaton {\n  registers 3\n  state s0 initial final\n";
+  for (int s = 1; s < n; ++s) t += "  state " + IndexedName("s", s) + "\n";
+  for (int s = 0; s < n; ++s) {
+    t += "  transition " + IndexedName("s", s) + " -> " +
+         IndexedName("s", (s + 1) % n) + " { " + shift + "}\n";
+  }
+  for (int s = 0; s < n; ++s) {
+    t += "  transition " + IndexedName("s", s) + " -> " +
+         IndexedName("s", (s + 2) % n) + " { " + shift + "x1 = y1 }\n";
+  }
+  t += "  constraint eq 1 1 \"s0 .* s0\"\n";
+  t += "  constraint neq 1 1 \"s0 .* s0\"\n}\n";
+  return t;
+}
+
+// The drain itself, closure by closure: every candidate the emptiness
+// search enumerates on the ring (5000 at the default bounds), closed over
+// its probe window (prefix + two cycles) and asked only consistent(), as
+// the search's evaluator does before refuting it. The kernel's verdict on
+// every candidate is checked against the oracle's before timing. Arg = n.
+void BM_ClosureProbeDrain(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Result<std::shared_ptr<const service::CompiledSpec>> spec =
+      service::CompiledSpec::Compile(DrainRingSpec(n));
+  RAV_CHECK(spec.ok());
+  const ExtendedAutomaton& era = (*spec)->emptiness_subject();
+  const ControlAlphabet& alphabet = (*spec)->emptiness_alphabet();
+  const Nba scontrol = BuildSControlNba(era.automaton(), alphabet);
+  const EraEmptinessOptions defaults;
+  LassoEnumerator enumerator(scontrol, defaults.max_lasso_length,
+                             defaults.max_lassos, defaults.max_search_steps);
+  std::vector<LassoWord> candidates;
+  LassoWord word;
+  size_t index = 0;
+  while (enumerator.Next(&word, &index)) candidates.push_back(word);
+  const size_t probe_pump = std::min<size_t>(SuggestedPumpCount(era), 2);
+  auto probe_window = [&](const LassoWord& w) {
+    return w.prefix.size() + probe_pump * w.cycle.size();
+  };
+  size_t refuted = 0;
+  for (const LassoWord& w : candidates) {
+    ConstraintClosure closure(era, alphabet, w, probe_window(w));
+    RAV_CHECK(closure.consistent() ==
+              oracle::ReferenceConstraintClosure(era, alphabet, w,
+                                                 probe_window(w))
+                  .consistent());
+    refuted += !closure.consistent();
+  }
+  ClosureScratch scratch;
+  for (auto _ : state) {
+    for (const LassoWord& w : candidates) {
+      ConstraintClosure closure(era, alphabet, w, probe_window(w), &scratch);
+      benchmark::DoNotOptimize(closure.consistent());
+    }
+  }
+  state.counters["candidates"] = static_cast<double>(candidates.size());
+  state.counters["refuted"] = static_cast<double>(refuted);
+  state.counters["ns_per_candidate"] = benchmark::Counter(
+      static_cast<double>(candidates.size()) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ClosureProbeDrain)->DenseRange(3, 6)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rav

@@ -425,7 +425,14 @@ void CheckConstraints(const RegisterAutomaton& a,
       }
       if (contradictory) continue;
     }
-    if (c.dfa.IsEmptyLanguage()) {
+    // The language is empty iff no accepting state is reachable from the
+    // initial one, i.e. the initial state is not coreachable — a lookup in
+    // the set AddConstraintDfa precomputed (the BFS only without it).
+    const bool empty_language =
+        c.coreachable.size() == static_cast<size_t>(c.dfa.num_states())
+            ? !c.coreachable[c.dfa.initial()]
+            : c.dfa.IsEmptyLanguage();
+    if (empty_language) {
       Emit(analysis, "RAV005", Severity::kWarning, c.loc,
            ConstraintLabel(c, static_cast<int>(ci)) +
                " never applies: its regular expression denotes the empty "

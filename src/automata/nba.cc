@@ -186,21 +186,25 @@ bool LassoEnumerator::EnterNode(int state) {
     done_ = true;
     return false;
   }
-  // Close the lasso at every earlier occurrence of `state` that has an
-  // accepting state inside the cycle.
-  for (size_t t = 0; t + 1 <= path_states_.size(); ++t) {
-    if (path_states_[t] != state) continue;
-    bool accepting_in_cycle = false;
-    for (size_t p = t; p < path_states_.size(); ++p) {
-      accepting_in_cycle =
-          accepting_in_cycle || nba_.IsAccepting(path_states_[p]);
+  // Close the lasso at every earlier occurrence t of `state` that has an
+  // accepting state inside the cycle (path positions t ...), in ascending
+  // t: a backward scan finds them while accumulating acceptance, and the
+  // found run is then reversed in place.
+  const size_t first_closing = pending_.size();
+  bool accepting_in_cycle = false;
+  for (size_t t = path_states_.size(); t-- > 0;) {
+    accepting_in_cycle =
+        accepting_in_cycle || nba_.IsAccepting(path_states_[t]);
+    // A closing at t has cycle path_symbols_[t, end), nonempty since the
+    // path holds one more symbol than states before this node is pushed.
+    if (path_states_[t] == state && accepting_in_cycle &&
+        t < path_symbols_.size()) {
+      pending_.push_back(t);
     }
-    if (!accepting_in_cycle) continue;
-    LassoWord w;
-    w.prefix.assign(path_symbols_.begin(), path_symbols_.begin() + t);
-    w.cycle.assign(path_symbols_.begin() + t, path_symbols_.end());
-    if (w.cycle.empty()) continue;
-    pending_.push_back(std::move(w));
+  }
+  if (pending_.size() > first_closing) {
+    std::reverse(pending_.begin() + first_closing, pending_.end());
+    pending_path_.assign(path_symbols_.begin(), path_symbols_.end());
   }
   if (path_symbols_.size() >= max_length_) {
     // Paths cut here could have closed longer lassos: the enumeration is
@@ -248,7 +252,9 @@ bool LassoEnumerator::Next(LassoWord* out, size_t* index) {
   if (delivered_ >= max_count_) return false;
   while (pending_head_ >= pending_.size() && !done_) Step();
   if (pending_head_ >= pending_.size()) return false;
-  *out = std::move(pending_[pending_head_++]);
+  const size_t split = pending_[pending_head_++];
+  out->prefix.assign(pending_path_.begin(), pending_path_.begin() + split);
+  out->cycle.assign(pending_path_.begin() + split, pending_path_.end());
   *index = delivered_++;
   if (pending_head_ >= pending_.size()) {
     pending_.clear();

@@ -119,7 +119,9 @@ class LassoEnumerator {
                   size_t max_steps);
 
   // Produces the next accepting lasso and its enumeration rank. Returns
-  // false when the enumeration has ended; `stop()` then says why.
+  // false when the enumeration has ended; `stop()` then says why. The
+  // lasso is written into `out`'s vectors, so a caller that reuses one
+  // LassoWord allocates nothing per lasso once its capacity is warm.
   bool Next(LassoWord* out, size_t* index);
 
   // Why the enumeration ended (meaningful once Next returned false; while
@@ -148,7 +150,11 @@ class LassoEnumerator {
   std::vector<Frame> stack_;
   std::vector<int> path_states_;
   std::vector<int> path_symbols_;
-  std::vector<LassoWord> pending_;  // closings of the current node, FIFO
+  // Closings of the current node, FIFO: the prefix lengths at which
+  // `pending_path_` (the path's symbols when the node was entered) splits
+  // into prefix and cycle.
+  std::vector<size_t> pending_;
+  std::vector<int> pending_path_;
   size_t pending_head_ = 0;
   size_t init_index_ = 0;
   size_t delivered_ = 0;

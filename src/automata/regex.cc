@@ -57,8 +57,10 @@ Regex Regex::Star(Regex a) {
 }
 
 Regex Regex::Plus(Regex a) {
-  Regex copy(a.node_);
-  return Concat(std::move(a), Star(std::move(copy)));
+  auto n = std::make_shared<Node>();
+  n->op = Op::kPlus;
+  n->left = std::move(a.node_);
+  return Regex(std::move(n));
 }
 
 Regex Regex::Optional(Regex a) { return Union(std::move(a), Epsilon()); }
@@ -313,6 +315,14 @@ std::pair<int, int> Regex::Build(const Node& node,
       nfa.AddTransition(la, Nfa::kEpsilon, accept);
       break;
     }
+    case Op::kPlus: {
+      // One copy of the operand, entered once and looped back into.
+      auto [ls, la] = Build(*node.left, symbol_letters, nfa);
+      nfa.AddTransition(start, Nfa::kEpsilon, ls);
+      nfa.AddTransition(la, Nfa::kEpsilon, ls);
+      nfa.AddTransition(la, Nfa::kEpsilon, accept);
+      break;
+    }
   }
   return {start, accept};
 }
@@ -406,6 +416,13 @@ std::string Regex::ToString(const std::function<std::string(int)>& name) const {
           return;
         case Op::kStar:
           out += '(';
+          Print(*n.left);
+          out += ")*";
+          return;
+        case Op::kPlus:
+          // Rendered as its expansion a (a)*, as before the node existed.
+          Print(*n.left);
+          out += " (";
           Print(*n.left);
           out += ")*";
           return;

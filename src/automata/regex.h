@@ -66,7 +66,19 @@ class Regex {
   std::string ToString(const std::function<std::string(int)>& name) const;
 
  private:
-  enum class Op { kEmpty, kEpsilon, kSymbol, kAny, kConcat, kUnion, kStar };
+  // kPlus is a node of its own rather than Concat(a, Star(a)): sharing
+  // `a` between the two operands would make the Thompson construction
+  // walk it twice, doubling the NFA with every nested '+'.
+  enum class Op {
+    kEmpty,
+    kEpsilon,
+    kSymbol,
+    kAny,
+    kConcat,
+    kUnion,
+    kStar,
+    kPlus,
+  };
 
   struct Node {
     Op op;

@@ -26,9 +26,9 @@
 
 namespace rav::compile {
 
-// Which guard-evaluation engine a consumer runs with, mirroring
-// ClosureEngine: kInterpreted walks the canonical Type per valuation (the
-// reference), kCompiled replays the lowered table program, and the default
+// Which guard-evaluation engine a consumer runs with: kInterpreted walks
+// the canonical Type per valuation (the reference), kCompiled replays the
+// lowered table program, and the default
 // kAuto resolves through the RAV_GUARD_TABLES environment variable —
 // "off"/"0"/"interpreted" forces the interpreted path, anything else (or
 // unset) selects the compiled one.

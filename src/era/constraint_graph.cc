@@ -46,89 +46,156 @@ class SymbolCursor {
 
 }  // namespace
 
+void ClosureScratch::FlushMetrics() {
+  if (tally_.built > 0) RAV_METRIC_COUNT("era/closure/built", tally_.built);
+  if (tally_.extended > 0) {
+    RAV_METRIC_COUNT("era/closure/extended", tally_.extended);
+  }
+  if (tally_.inconsistent > 0) {
+    RAV_METRIC_COUNT("era/closure/inconsistent", tally_.inconsistent);
+  }
+  tally_ = Tally();
+}
+
+ConstraintClosure::ConstraintClosure(const ExtendedAutomaton& era,
+                                     const ControlAlphabet& alphabet,
+                                     size_t window, ClosureScratch* scratch)
+    : era_(&era),
+      alphabet_(&alphabet),
+      home_(scratch),
+      k_(era.automaton().num_registers()),
+      num_constants_(era.automaton().schema().num_constants()),
+      window_(window) {
+  if (home_ != nullptr) s_ = home_->TakeStorage();
+}
+
 ConstraintClosure::ConstraintClosure(const ExtendedAutomaton& era,
                                      const ControlAlphabet& alphabet,
                                      const LassoWord& control_word,
-                                     size_t window, ClosureScratch* scratch,
-                                     ClosureEngine engine)
-    : era_(&era),
-      alphabet_(&alphabet),
-      word_(control_word),
-      k_(era.automaton().num_registers()),
-      num_constants_(era.automaton().schema().num_constants()),
-      window_(window),
-      engine_(engine) {
+                                     size_t window, ClosureScratch* scratch)
+    : ConstraintClosure(era, alphabet, window, scratch) {
+  // The caller's word and window are the only inputs the kernel does not
+  // produce itself; checked once here, so the per-position loops index
+  // without checks.
   RAV_CHECK_GE(window, 1u);
-  if (engine_ == ClosureEngine::kAuto) {
-    // The linear sweep's per-constraint setup (coreachable/accept tables,
-    // start-state map, group buffers) only pays off once the window dwarfs
-    // the constraint DFAs; below that the reference restarts are cheaper.
-    auto_engine_ = true;
-    int max_states = 0;
-    for (const auto& c : era.constraints()) {
-      max_states = std::max(max_states, c.dfa.num_states());
+  RAV_CHECK(window <= control_word.prefix.size() ||
+            !control_word.cycle.empty());
+  for (const std::vector<int>* part :
+       {&control_word.prefix, &control_word.cycle}) {
+    for (int symbol : *part) {
+      RAV_CHECK_GE(symbol, 0);
+      RAV_CHECK_LT(symbol, alphabet.size());
     }
-    engine_ = window_ >= 2 * static_cast<size_t>(max_states)
-                  ? ClosureEngine::kLinear
-                  : ClosureEngine::kReference;
   }
-  uf_.Reset(num_nodes());
-  node_in_adom_.assign(num_nodes(), false);
+  s_.word.prefix.assign(control_word.prefix.begin(),
+                        control_word.prefix.end());
+  s_.word.cycle.assign(control_word.cycle.begin(), control_word.cycle.end());
+  s_.parent.clear();
+  s_.node_in_adom.clear();
+  s_.raw_ineq.clear();
+  s_.sweep_groups.clear();
+  s_.link_pos.clear();
+  s_.link_next.clear();
+  AddNodes(num_nodes());
   // Constants are part of the active domain by definition.
   for (int c = 0; c < num_constants_; ++c) {
-    node_in_adom_[ConstantNode(c)] = true;
+    s_.node_in_adom[ConstantNode(c)] = 1;
   }
 
   ClosureScratch& s =
       scratch != nullptr ? *scratch : ThreadLocalClosureScratch();
   ApplyTypes(0, s);
-  if (engine_ == ClosureEngine::kLinear) {
-    SweepConstraints(0, s);
-  } else {
-    ReferenceSweep();
-  }
-  Finalize(s);
+  SweepConstraints(0, s);
+  DecideConsistency();
+  ++s.tally_.built;
+  if (!consistent_) ++s.tally_.inconsistent;
+  if (scratch == nullptr) s.FlushMetrics();
+}
 
-  RAV_METRIC_COUNT("era/closure/built", 1);
-  RAV_METRIC_RECORD("era/closure/nodes", num_nodes());
-  RAV_METRIC_RECORD("era/closure/classes", num_classes_);
-  RAV_METRIC_RECORD("era/closure/ineq_edges", ineq_edges_.size());
-  if (!consistent_) RAV_METRIC_COUNT("era/closure/inconsistent", 1);
+ConstraintClosure::~ConstraintClosure() {
+  if (home_ != nullptr) home_->ReturnStorage(std::move(s_));
+}
+
+ConstraintClosure::ConstraintClosure(ConstraintClosure&& other) noexcept
+    : era_(other.era_),
+      alphabet_(other.alphabet_),
+      home_(other.home_),
+      k_(other.k_),
+      num_constants_(other.num_constants_),
+      window_(other.window_),
+      consistent_(other.consistent_),
+      canonical_(other.canonical_),
+      num_classes_(other.num_classes_),
+      s_(std::move(other.s_)) {
+  // The moved-from closure keeps nothing worth pooling.
+  other.home_ = nullptr;
+}
+
+ConstraintClosure& ConstraintClosure::operator=(
+    ConstraintClosure&& other) noexcept {
+  // Swap, so `other` hands this closure's old storage back to its pool.
+  std::swap(era_, other.era_);
+  std::swap(alphabet_, other.alphabet_);
+  std::swap(home_, other.home_);
+  std::swap(k_, other.k_);
+  std::swap(num_constants_, other.num_constants_);
+  std::swap(window_, other.window_);
+  std::swap(consistent_, other.consistent_);
+  std::swap(canonical_, other.canonical_);
+  std::swap(num_classes_, other.num_classes_);
+  std::swap(s_, other.s_);
+  return *this;
+}
+
+ConstraintClosure ConstraintClosure::ExtendedBy(
+    size_t extra_cycles, ClosureScratch* scratch) const& {
+  ConstraintClosure copy(*era_, *alphabet_, window_, scratch);
+  copy.consistent_ = consistent_;
+  copy.s_.word.prefix.assign(s_.word.prefix.begin(), s_.word.prefix.end());
+  copy.s_.word.cycle.assign(s_.word.cycle.begin(), s_.word.cycle.end());
+  copy.s_.parent.assign(s_.parent.begin(), s_.parent.end());
+  copy.s_.node_in_adom.assign(s_.node_in_adom.begin(),
+                              s_.node_in_adom.end());
+  copy.s_.raw_ineq.assign(s_.raw_ineq.begin(), s_.raw_ineq.end());
+  copy.s_.sweep_groups.assign(s_.sweep_groups.begin(),
+                              s_.sweep_groups.end());
+  copy.s_.link_pos.assign(s_.link_pos.begin(), s_.link_pos.end());
+  copy.s_.link_next.assign(s_.link_next.begin(), s_.link_next.end());
+  return std::move(copy).ExtendedBy(extra_cycles, scratch);
 }
 
 ConstraintClosure ConstraintClosure::ExtendedBy(size_t extra_cycles,
-                                                ClosureScratch* scratch) const {
-  const size_t extra = extra_cycles * word_.cycle.size();
-  if (engine_ == ClosureEngine::kReference) {
-    // The reference engine keeps no sweep state; rebuild at the larger
-    // window (an auto-picked reference closure re-resolves there, so a
-    // small window extended into a large one gets the linear engine).
-    return ConstraintClosure(
-        *era_, *alphabet_, word_, window_ + extra, scratch,
-        auto_engine_ ? ClosureEngine::kAuto : ClosureEngine::kReference);
-  }
-  ConstraintClosure out(*this);
-  if (extra == 0) return out;
+                                                ClosureScratch* scratch) && {
+  const size_t extra = extra_cycles * s_.word.cycle.size();
+  if (extra == 0) return std::move(*this);
 
   ClosureScratch& s =
       scratch != nullptr ? *scratch : ThreadLocalClosureScratch();
-  const size_t old_window = out.window_;
-  out.window_ += extra;
-  out.node_in_adom_.resize(out.num_nodes(), false);
-  for (int v = 0; v < static_cast<int>(extra) * out.k_; ++v) out.uf_.Add();
+  const size_t old_window = window_;
+  window_ += extra;
+  canonical_ = false;
+  AddNodes(static_cast<int>(extra) * k_);
 
   // The old last position was applied x̄-restricted; now that it has a
   // successor, re-apply its full type (a superset of the restriction, so
   // re-application only adds the constraints a from-scratch closure over
   // the larger window would have).
-  out.ApplyTypes(old_window - 1, s);
-  out.SweepConstraints(old_window, s);
-  out.Finalize(s);
+  ApplyTypes(old_window - 1, s);
+  SweepConstraints(old_window, s);
+  DecideConsistency();
 
-  RAV_METRIC_COUNT("era/closure/extended", 1);
+  ++s.tally_.extended;
+  if (!consistent_) ++s.tally_.inconsistent;
+  if (scratch == nullptr) s.FlushMetrics();
   RAV_METRIC_RECORD("era/closure/extended_positions", extra);
-  if (!out.consistent_) RAV_METRIC_COUNT("era/closure/inconsistent", 1);
-  return out;
+  return std::move(*this);
+}
+
+void ConstraintClosure::AddNodes(int count) {
+  const int first = static_cast<int>(s_.parent.size());
+  s_.parent.resize(first + count);
+  for (int v = first; v < first + count; ++v) s_.parent[v] = v;
+  s_.node_in_adom.resize(first + count, 0);
 }
 
 void ConstraintClosure::ApplyOneType(const Type& t, const int* element_to_node,
@@ -140,15 +207,16 @@ void ConstraintClosure::ApplyOneType(const Type& t, const int* element_to_node,
     if (rep[c] < 0) {
       rep[c] = e;
     } else {
-      uf_.Union(element_to_node[rep[c]], element_to_node[e]);
+      Union(element_to_node[rep[c]], element_to_node[e]);
     }
   }
   for (const auto& [c1, c2] : t.disequalities()) {
-    raw_ineq_.emplace_back(element_to_node[rep[c1]], element_to_node[rep[c2]]);
+    s_.raw_ineq.emplace_back(element_to_node[rep[c1]],
+                             element_to_node[rep[c2]]);
   }
   for (const TypeAtom& a : t.atoms()) {
     if (!a.positive) continue;
-    for (int c : a.args) node_in_adom_[element_to_node[rep[c]]] = true;
+    for (int c : a.args) s_.node_in_adom[element_to_node[rep[c]]] = 1;
   }
 }
 
@@ -173,39 +241,15 @@ void ConstraintClosure::CompileType(const Type& t, ClosureScratch& scratch,
   }
 }
 
-void ConstraintClosure::ReferenceApplyTypes(size_t from_pos,
-                                            ClosureScratch& scratch) {
-  // The original per-position path: every position re-derives class
-  // representatives from the Type object, and the last position's
-  // restriction is recomputed per closure.
-  std::vector<int>& nodes = scratch.element_nodes_;
-  for (size_t n = from_pos; n + 1 < window_; ++n) {
-    nodes.clear();
-    for (int i = 0; i < k_; ++i) nodes.push_back(NodeOf(n, i));
-    for (int i = 0; i < k_; ++i) nodes.push_back(NodeOf(n + 1, i));
-    for (int c = 0; c < num_constants_; ++c) nodes.push_back(ConstantNode(c));
-    ApplyOneType(alphabet_->guard_of(SymbolId(word_.SymbolAt(n))), nodes.data(),
-                 scratch);
-  }
-  Type last = RestrictToX(
-      alphabet_->guard_of(SymbolId(word_.SymbolAt(window_ - 1))), k_);
-  nodes.clear();
-  for (int i = 0; i < k_; ++i) nodes.push_back(NodeOf(window_ - 1, i));
-  for (int c = 0; c < num_constants_; ++c) nodes.push_back(ConstantNode(c));
-  ApplyOneType(last, nodes.data(), scratch);
-}
-
 void ConstraintClosure::ApplyTypes(size_t from_pos, ClosureScratch& scratch) {
-  if (engine_ == ClosureEngine::kReference) {
-    ReferenceApplyTypes(from_pos, scratch);
-    return;
-  }
+  const LassoWord& word = s_.word;
   // With a compiled alphabet the per-symbol programs already exist as
   // compile::GuardOps (lowered once at alphabet build, shared across every
   // closure and every worker) — replay them directly, skipping the
   // per-pass CompileType stage below entirely.
   if (const compile::GuardTableSet* tables = alphabet_->tables()) {
-    SymbolCursor cursor(word_, from_pos);
+    SymbolCursor cursor(word, from_pos);
+    const int two_k = 2 * k_;
     for (size_t n = from_pos; n + 1 < window_; ++n) {
       const int sym = cursor.Next();
       // One dense load per position; -1 marks a data-trivial guard whose
@@ -215,27 +259,26 @@ void ConstraintClosure::ApplyTypes(size_t from_pos, ClosureScratch& scratch) {
       if (!gid.valid()) continue;
       const compile::GuardOps& ops = tables->closure_ops(gid);
       const int base = num_constants_ + static_cast<int>(n) * k_;
-      const int two_k = 2 * k_;
       auto node = [&](int e) { return e < two_k ? base + e : e - two_k; };
-      for (const auto& [a, b] : ops.unions) uf_.Union(node(a), node(b));
+      for (const auto& [a, b] : ops.unions) Union(node(a), node(b));
       for (const auto& [a, b] : ops.diseqs) {
-        raw_ineq_.emplace_back(node(a), node(b));
+        s_.raw_ineq.emplace_back(node(a), node(b));
       }
-      for (int e : ops.adom) node_in_adom_[node(e)] = true;
+      for (int e : ops.adom) s_.node_in_adom[node(e)] = 1;
     }
     // Last position: the precompiled x̄-restricted program over
     // (k registers at window_-1, constants).
     const GuardId last_gid = alphabet_->x_closure_program_of_symbol(
-        SymbolId(word_.SymbolAt(window_ - 1)));
+        SymbolId(word.SymbolAt(window_ - 1)));
     if (!last_gid.valid()) return;
     const compile::GuardOps& last_ops = tables->x_closure_ops(last_gid);
     const int base = num_constants_ + static_cast<int>(window_ - 1) * k_;
     auto node = [&](int e) { return e < k_ ? base + e : e - k_; };
-    for (const auto& [a, b] : last_ops.unions) uf_.Union(node(a), node(b));
+    for (const auto& [a, b] : last_ops.unions) Union(node(a), node(b));
     for (const auto& [a, b] : last_ops.diseqs) {
-      raw_ineq_.emplace_back(node(a), node(b));
+      s_.raw_ineq.emplace_back(node(a), node(b));
     }
-    for (int e : last_ops.adom) node_in_adom_[node(e)] = true;
+    for (int e : last_ops.adom) s_.node_in_adom[node(e)] = 1;
     return;
   }
   std::vector<int>& nodes = scratch.element_nodes_;
@@ -248,7 +291,7 @@ void ConstraintClosure::ApplyTypes(size_t from_pos, ClosureScratch& scratch) {
   constexpr int kEmptyProgram = -2;  // trivial guard: nothing to replay
   scratch.program_of_symbol_.assign(alphabet_->size(), kUncompiled);
   scratch.programs_used_ = 0;
-  SymbolCursor cursor(word_, from_pos);
+  SymbolCursor cursor(word, from_pos);
   for (size_t n = from_pos; n + 1 < window_; ++n) {
     const int sym = cursor.Next();
     int pi = scratch.program_of_symbol_[sym];
@@ -275,16 +318,16 @@ void ConstraintClosure::ApplyTypes(size_t from_pos, ClosureScratch& scratch) {
     const int base = num_constants_ + static_cast<int>(n) * k_;
     const int two_k = 2 * k_;
     auto node = [&](int e) { return e < two_k ? base + e : e - two_k; };
-    for (const auto& [a, b] : p.unions) uf_.Union(node(a), node(b));
+    for (const auto& [a, b] : p.unions) Union(node(a), node(b));
     for (const auto& [a, b] : p.diseqs) {
-      raw_ineq_.emplace_back(node(a), node(b));
+      s_.raw_ineq.emplace_back(node(a), node(b));
     }
-    for (int e : p.adom) node_in_adom_[node(e)] = true;
+    for (int e : p.adom) s_.node_in_adom[node(e)] = 1;
   }
   // The last position contributes only its x̄-part (precomputed per
   // symbol by the alphabet).
   const Type& last =
-      alphabet_->x_restricted_guard_of(SymbolId(word_.SymbolAt(window_ - 1)));
+      alphabet_->x_restricted_guard_of(SymbolId(word.SymbolAt(window_ - 1)));
   nodes.clear();
   for (int i = 0; i < k_; ++i) nodes.push_back(NodeOf(window_ - 1, i));
   for (int c = 0; c < num_constants_; ++c) nodes.push_back(ConstantNode(c));
@@ -299,21 +342,21 @@ void ConstraintClosure::SweepConstraints(size_t from_pos,
   // and shared by every constraint's sweep.
   std::vector<int>& qs = scratch.states_at_;
   qs.clear();
-  SymbolCursor cursor(word_, from_pos);
+  SymbolCursor cursor(s_.word, from_pos);
+  int max_q = 0;
   for (size_t m = from_pos; m < window_; ++m) {
-    qs.push_back(alphabet_->state_of(SymbolId(cursor.Next())).value());
+    const int q = alphabet_->state_of(SymbolId(cursor.Next())).value();
+    qs.push_back(q);
+    max_q = std::max(max_q, q);
   }
 
-  int max_q = 0;
-  for (int q : qs) max_q = std::max(max_q, q);
-
-  // New parked state is staged in scratch (reading the old state as we
-  // go) and assigned to the closure in one shot afterwards.
+  // The new parked groups are staged in scratch (the old ones are read as
+  // the sweep goes) and swapped in at the end.
   std::vector<ClosureSweepGroup>& next_groups = scratch.parked_groups_tmp_;
-  std::vector<int>& next_starts = scratch.parked_starts_tmp_;
   next_groups.clear();
-  next_starts.clear();
-  size_t gi = 0;  // cursor over sweep_groups_ (ordered by constraint)
+  size_t gi = 0;  // cursor over s_.sweep_groups (ordered by constraint)
+  std::vector<int>& link_pos = s_.link_pos;
+  std::vector<int>& link_next = s_.link_next;
 
   for (size_t ci = 0; ci < constraints.size(); ++ci) {
     const GlobalConstraint& c = constraints[ci];
@@ -335,20 +378,22 @@ void ConstraintClosure::SweepConstraints(size_t from_pos,
       accept[s] = dfa.IsAccepting(s);
     }
     std::vector<int>& start_state = scratch.start_state_of_q_;
-    start_state.assign(max_q + 1, -1);
+    start_state.resize(max_q + 1);
     const int* initial_row = dfa.NextRow(dfa.initial());
     for (int q : qs) {
       const int s0 = initial_row[q];
       start_state[q] = live[s0] ? s0 : -1;
     }
     scratch.EnsureStateBuffers(num_dfa_states);
+    const int reg_i = c.i.value();
+    const int reg_j = c.j.value();
     int cur = 0;
-    for (; gi < sweep_groups_.size() &&
-           sweep_groups_[gi].constraint == static_cast<int>(ci);
+    for (; gi < s_.sweep_groups.size() &&
+           s_.sweep_groups[gi].constraint == static_cast<int>(ci);
          ++gi) {
-      const ClosureSweepGroup& g = sweep_groups_[gi];
-      scratch.state_starts_[cur][g.dfa_state].assign(
-          sweep_starts_.begin() + g.begin, sweep_starts_.begin() + g.end);
+      const ClosureSweepGroup& g = s_.sweep_groups[gi];
+      scratch.head_[cur][g.dfa_state] = g.head;
+      scratch.tail_[cur][g.dfa_state] = g.tail;
       scratch.occupied_[cur].push_back(g.dfa_state);
     }
 
@@ -356,52 +401,59 @@ void ConstraintClosure::SweepConstraints(size_t from_pos,
       const int m = static_cast<int>(from_pos + t);
       const int q = qs[t];
       const int nxt = cur ^ 1;
-      std::vector<std::vector<int>>& from_side = scratch.state_starts_[cur];
-      std::vector<std::vector<int>>& to_side = scratch.state_starts_[nxt];
+      int* head_from = scratch.head_[cur].data();
+      int* tail_from = scratch.tail_[cur].data();
+      int* head_to = scratch.head_[nxt].data();
+      int* tail_to = scratch.tail_[nxt].data();
       std::vector<int>& occ_nxt = scratch.occupied_[nxt];
       // Advance every live run by the state read at position m. Runs
-      // converging on the same DFA state merge into one group (smaller
-      // start list spliced into the larger); runs entering a state from
-      // which no accepting state is reachable are dropped — they can
-      // never emit another edge.
+      // converging on the same DFA state merge into one group (the lists
+      // are spliced); runs entering a state from which no accepting state
+      // is reachable are dropped — they can never emit another edge.
       for (int s : scratch.occupied_[cur]) {
-        std::vector<int>& src = from_side[s];
+        const int head = head_from[s];
+        head_from[s] = -1;
         const int to = dfa.NextRow(s)[q];
-        if (!live[to]) {
-          src.clear();
-          continue;
-        }
-        std::vector<int>& dst = to_side[to];
-        if (dst.empty()) {
-          dst.swap(src);
+        if (!live[to]) continue;
+        if (head_to[to] < 0) {
+          head_to[to] = head;
           occ_nxt.push_back(to);
         } else {
-          if (src.size() > dst.size()) src.swap(dst);
-          dst.insert(dst.end(), src.begin(), src.end());
-          src.clear();
+          link_next[tail_to[to]] = head;
         }
+        tail_to[to] = tail_from[s];
       }
       scratch.occupied_[cur].clear();
       // A new run starts at position m (the factor q_m...).
       const int s0 = start_state[q];
       if (s0 >= 0) {
-        std::vector<int>& dst = to_side[s0];
-        if (dst.empty()) occ_nxt.push_back(s0);
-        dst.push_back(m);
+        const int link = static_cast<int>(link_pos.size());
+        link_pos.push_back(m);
+        link_next.push_back(-1);
+        if (head_to[s0] < 0) {
+          head_to[s0] = link;
+          occ_nxt.push_back(s0);
+        } else {
+          link_next[tail_to[s0]] = link;
+        }
+        tail_to[s0] = link;
       }
       // Accepting groups emit their edges against position m. For an
       // equality constraint every start is merged into one class, so the
       // group collapses to a single representative.
       for (int s : occ_nxt) {
         if (!accept[s]) continue;
-        const int b = NodeOf(m, c.j.value());
-        std::vector<int>& starts = to_side[s];
+        const int b = NodeOf(m, reg_j);
+        const int head = head_to[s];
         if (c.is_equality) {
-          for (int n : starts) uf_.Union(NodeOf(n, c.i.value()), b);
-          starts.resize(1);
+          for (int l = head; l >= 0; l = link_next[l]) {
+            Union(NodeOf(link_pos[l], reg_i), b);
+          }
+          link_next[head] = -1;
+          tail_to[s] = head;
         } else {
-          for (int n : starts) {
-            raw_ineq_.emplace_back(NodeOf(n, c.i.value()), b);
+          for (int l = head; l >= 0; l = link_next[l]) {
+            s_.raw_ineq.emplace_back(NodeOf(link_pos[l], reg_i), b);
           }
         }
       }
@@ -411,95 +463,126 @@ void ConstraintClosure::SweepConstraints(size_t from_pos,
     // Park the final groups (for ExtendedBy) and restore the all-empty
     // buffer invariant for the next constraint.
     for (int s : scratch.occupied_[cur]) {
-      std::vector<int>& starts = scratch.state_starts_[cur][s];
-      const int begin = static_cast<int>(next_starts.size());
-      next_starts.insert(next_starts.end(), starts.begin(), starts.end());
       next_groups.push_back(ClosureSweepGroup{
-          static_cast<int>(ci), s, begin,
-          static_cast<int>(next_starts.size())});
-      starts.clear();
+          static_cast<int>(ci), s, scratch.head_[cur][s],
+          scratch.tail_[cur][s]});
+      scratch.head_[cur][s] = -1;
     }
     scratch.occupied_[cur].clear();
   }
 
-  sweep_groups_ = next_groups;
-  sweep_starts_ = next_starts;
+  s_.sweep_groups.swap(next_groups);
 }
 
-void ConstraintClosure::ReferenceSweep() {
-  for (const GlobalConstraint& c : era_->constraints()) {
-    for (size_t n = 0; n < window_; ++n) {
-      int dfa_state = c.dfa.initial();
-      for (size_t m = n; m < window_; ++m) {
-        int q = alphabet_->state_of(SymbolId(word_.SymbolAt(m))).value();
-        dfa_state = c.dfa.Next(dfa_state, q);
-        if (!c.dfa.IsAccepting(dfa_state)) continue;
-        int a = NodeOf(n, c.i.value());
-        int b = NodeOf(m, c.j.value());
-        if (c.is_equality) {
-          uf_.Union(a, b);
-        } else {
-          raw_ineq_.emplace_back(a, b);
-        }
-      }
-    }
-  }
-}
-
-void ConstraintClosure::Finalize(ClosureScratch& scratch) {
-  // Canonicalize classes: dense ids in smallest-node order, so the
-  // assignment depends only on the partition (identical across engines
-  // and across build-vs-extend).
-  class_of_node_.assign(num_nodes(), -1);
-  std::vector<int>& root_to_class = scratch.root_to_class_;
-  root_to_class.assign(num_nodes(), -1);
-  num_classes_ = 0;
-  for (int v = 0; v < num_nodes(); ++v) {
-    int root = uf_.Find(v);
-    if (root_to_class[root] < 0) root_to_class[root] = num_classes_++;
-    class_of_node_[v] = root_to_class[root];
-  }
-  class_in_adom_.assign(num_classes_, false);
-  for (int v = 0; v < num_nodes(); ++v) {
-    if (node_in_adom_[v]) class_in_adom_[class_of_node_[v]] = true;
-  }
-
-  // Inequality edges at class level, deduplicated; an edge inside one
-  // class is a genuine contradiction.
+void ConstraintClosure::DecideConsistency() {
+  // An inequality inside one class is a genuine contradiction; one is
+  // enough, so the scan stops there.
   consistent_ = true;
-  ineq_edges_.clear();
-  ineq_edges_.reserve(raw_ineq_.size());
-  for (const auto& [a, b] : raw_ineq_) {
-    int ca = class_of_node_[a];
-    int cb = class_of_node_[b];
-    if (ca == cb) {
+  for (const auto& [a, b] : s_.raw_ineq) {
+    if (Find(a) == Find(b)) {
       consistent_ = false;
-      continue;
+      return;
     }
-    ineq_edges_.emplace_back(std::min(ca, cb), std::max(ca, cb));
   }
-  std::sort(ineq_edges_.begin(), ineq_edges_.end());
-  ineq_edges_.erase(std::unique(ineq_edges_.begin(), ineq_edges_.end()),
-                    ineq_edges_.end());
+}
+
+void ConstraintClosure::Canonicalize() const {
+  if (canonical_) return;
+  // Dense class ids in smallest-node order, so the assignment depends
+  // only on the partition (identical across build-vs-extend). A class's
+  // root is its smallest node, so it is numbered before any other member
+  // is reached.
+  const int n = num_nodes();
+  std::vector<int>& class_of_node = s_.class_of_node;
+  class_of_node.resize(n);
+  int num_classes = 0;
+  for (int v = 0; v < n; ++v) {
+    const int root = Find(v);
+    class_of_node[v] = root == v ? num_classes++ : class_of_node[root];
+  }
+  num_classes_ = num_classes;
+  s_.class_in_adom.assign(num_classes, 0);
+  for (int v = 0; v < n; ++v) {
+    if (s_.node_in_adom[v]) s_.class_in_adom[class_of_node[v]] = 1;
+  }
+
+  // Inequality edges at class level, sorted and deduplicated in linear
+  // time: bucket the raw edges by smaller class (counting sort), then
+  // keep each bucket's distinct larger classes (stamped with the bucket)
+  // in ascending order. Edges inside one class are the contradictions
+  // consistent() already reports; they carry no class edge.
+  std::vector<int>& begin = s_.bucket_begin;
+  std::vector<int>& items = s_.bucket_items;
+  begin.assign(num_classes + 1, 0);
+  for (const auto& [a, b] : s_.raw_ineq) {
+    const int ca = class_of_node[a];
+    const int cb = class_of_node[b];
+    if (ca != cb) ++begin[std::min(ca, cb) + 1];
+  }
+  for (int c = 0; c < num_classes; ++c) begin[c + 1] += begin[c];
+  items.resize(begin[num_classes]);
+  for (const auto& [a, b] : s_.raw_ineq) {
+    const int ca = class_of_node[a];
+    const int cb = class_of_node[b];
+    if (ca != cb) items[begin[std::min(ca, cb)]++] = std::max(ca, cb);
+  }
+  // begin[c] now ends bucket c; bucket c starts where bucket c-1 ended.
+  std::vector<int>& stamp = s_.stamp;
+  stamp.assign(num_classes, -1);
+  std::vector<std::pair<int, int>>& edges = s_.ineq_edges;
+  edges.clear();
+  int bucket_start = 0;
+  for (int lo = 0; lo < num_classes; ++lo) {
+    const size_t first = edges.size();
+    for (int i = bucket_start; i < begin[lo]; ++i) {
+      const int hi = items[i];
+      if (stamp[hi] == lo) continue;
+      stamp[hi] = lo;
+      edges.emplace_back(lo, hi);
+    }
+    std::sort(edges.begin() + first, edges.end());
+    bucket_start = begin[lo];
+  }
+  canonical_ = true;
+  RAV_METRIC_RECORD("era/closure/nodes", n);
+  RAV_METRIC_RECORD("era/closure/classes", num_classes);
+  RAV_METRIC_RECORD("era/closure/ineq_edges", edges.size());
+}
+
+size_t ConstraintClosure::ApproxBytes() const {
+  size_t bytes = sizeof(*this) +
+                 s_.parent.size() * (sizeof(int) + sizeof(char)) +
+                 s_.raw_ineq.size() * sizeof(std::pair<int, int>) +
+                 s_.sweep_groups.size() * sizeof(ClosureSweepGroup) +
+                 s_.link_pos.size() * 2 * sizeof(int);
+  if (canonical_) {
+    bytes += s_.class_of_node.size() * sizeof(int) +
+             s_.class_in_adom.size() * sizeof(char) +
+             s_.ineq_edges.size() * sizeof(std::pair<int, int>);
+  }
+  return bytes;
 }
 
 int ConstraintClosure::ClassOf(int node) const {
+  Canonicalize();
   RAV_CHECK_GE(node, 0);
-  RAV_CHECK_LT(static_cast<size_t>(node), class_of_node_.size());
-  return class_of_node_[node];
+  RAV_CHECK_LT(static_cast<size_t>(node), s_.class_of_node.size());
+  return s_.class_of_node[node];
 }
 
 int ConstraintClosure::NumAdomClasses() const {
+  Canonicalize();
   int n = 0;
-  for (bool b : class_in_adom_) n += b;
+  for (char b : s_.class_in_adom) n += b != 0;
   return n;
 }
 
 std::vector<std::pair<int, int>> ConstraintClosure::AdomInequalityEdges()
     const {
+  Canonicalize();
   std::vector<std::pair<int, int>> out;
-  for (const auto& [a, b] : ineq_edges_) {
-    if (class_in_adom_[a] && class_in_adom_[b]) out.emplace_back(a, b);
+  for (const auto& [a, b] : s_.ineq_edges) {
+    if (s_.class_in_adom[a] && s_.class_in_adom[b]) out.emplace_back(a, b);
   }
   return out;
 }
@@ -580,7 +663,7 @@ int ConstraintClosure::AdomCliqueNumber(int max_nodes) const {
   // classes cannot enlarge a clique beyond 1).
   std::vector<std::pair<int, int>> edges = AdomInequalityEdges();
   if (edges.empty()) return NumAdomClasses() > 0 ? 1 : 0;
-  std::vector<int> compact(num_classes_, -1);
+  std::vector<int> compact(num_classes(), -1);
   int n = 0;
   for (const auto& [a, b] : edges) {
     if (compact[a] < 0) compact[a] = n++;
@@ -593,6 +676,7 @@ int ConstraintClosure::AdomCliqueNumber(int max_nodes) const {
 }
 
 std::vector<int> ConstraintClosure::GreedyAdomColoring(int* num_colors) const {
+  Canonicalize();
   std::vector<std::vector<int>> neighbors(num_classes_);
   for (const auto& [a, b] : AdomInequalityEdges()) {
     neighbors[a].push_back(b);
@@ -601,10 +685,10 @@ std::vector<int> ConstraintClosure::GreedyAdomColoring(int* num_colors) const {
   std::vector<int> color(num_classes_, 0);
   int max_color = 0;
   for (int c = 0; c < num_classes_; ++c) {
-    if (!class_in_adom_[c]) continue;
+    if (!s_.class_in_adom[c]) continue;
     std::vector<bool> used(num_classes_ + 1, false);
     for (int nb : neighbors[c]) {
-      if (nb < c && class_in_adom_[nb]) used[color[nb]] = true;
+      if (nb < c && s_.class_in_adom[nb]) used[color[nb]] = true;
     }
     int pick = 0;
     while (used[pick]) ++pick;

@@ -264,7 +264,8 @@ EraEmptinessResult SearchConsistentLasso(const ExtendedAutomaton& era,
     if (!closure.consistent()) return LassoVerdict::kInconsistent;
     if (probe_pump < pump) {
       ++counters.closures_extended;
-      closure = closure.ExtendedBy(pump - probe_pump, &counters.scratch);
+      closure = std::move(closure).ExtendedBy(pump - probe_pump,
+                                              &counters.scratch);
       closure_charge.Add(closure.ApproxBytes());
       if (!closure.consistent()) return LassoVerdict::kInconsistent;
     }

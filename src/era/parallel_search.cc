@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <sstream>
 #include <system_error>
@@ -157,6 +155,7 @@ LassoSearchOutcome SearchInline(const Nba& nba,
   outcome.stats.guard_evals = tally.counters.guard.evals;
   outcome.stats.guard_batches = tally.counters.guard.batches;
   outcome.stats.visited_hits = tally.visited_hits;
+  tally.counters.scratch.FlushMetrics();
   outcome.stats.enumeration_steps = enumerator.steps();
   outcome.stats.workers = 1;
   // Precedence: a witness found before the trip is still a witness; an
@@ -169,58 +168,62 @@ LassoSearchOutcome SearchInline(const Nba& nba,
   return outcome;
 }
 
-// The producer/worker state shared across threads. All fields except
-// `best_hint` are guarded by `mu`; candidates are heavy enough (a
-// constraint closure each) that one lock round-trip per *batch* is noise.
+// The state the pool's workers share. The enumerator and the best
+// witness are guarded by `mu`: a worker takes the lock once per batch to
+// pull its next candidates straight from the enumerator, and once per
+// witness it finds.
 struct SharedState {
+  SharedState(const Nba& nba, const LassoSearchOptions& options)
+      : enumerator(nba, options.max_lasso_length, options.max_lassos,
+                   options.max_search_steps) {}
+
   std::mutex mu;
-  std::condition_variable work_ready;
-  std::condition_variable space_ready;
-  std::deque<LassoCandidate> queue;
-  bool producer_done = false;
+  LassoEnumerator enumerator;
+  bool enumeration_done = false;
   size_t best_index = kNoWitness;
   LassoWord best_word;
   // Mirror of best_index for lock-free cancellation checks between the
-  // candidates of a popped batch. Updated under `mu` whenever best_index
+  // candidates of a batch. Updated under `mu` whenever best_index
   // improves; read relaxed — a stale read only means one moot candidate
   // gets evaluated, never that a lower-rank candidate is skipped.
   std::atomic<size_t> best_hint{kNoWitness};
 };
 
+// One worker: pull a batch of candidates (consecutive ranks) from the
+// shared enumerator, evaluate them without the lock, repeat until the
+// enumeration ends, a witness makes every unpulled rank moot, or the
+// governor trips. The batch's LassoWords are reused, so pulling allocates
+// nothing once they are warm.
 void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
                 const ExecutionGovernor* governor, SharedVisitedContext* ctx,
-                size_t batch, WorkerTally& tally) {
-  std::vector<LassoCandidate> local;
-  local.reserve(batch);
+                size_t batch_size, WorkerTally& tally) {
+  std::vector<LassoCandidate> batch(batch_size);
   for (;;) {
-    local.clear();
+    // One governor poll per pull: after a trip nothing more is pulled.
+    if (GovernorCheck(governor) != GovernorTrip::kNone) return;
+    size_t pulled = 0;
     {
-      std::unique_lock<std::mutex> lock(shared.mu);
-      shared.work_ready.wait(lock, [&] {
-        return !shared.queue.empty() || shared.producer_done;
-      });
-      if (shared.queue.empty()) return;
-      // Pop up to a whole batch per lock round-trip; the candidates are
-      // then evaluated without touching the mutex (cancellation reads the
-      // atomic hint instead).
-      while (local.size() < batch && !shared.queue.empty()) {
-        local.push_back(std::move(shared.queue.front()));
-        shared.queue.pop_front();
+      std::lock_guard<std::mutex> lock(shared.mu);
+      // Every rank still in the enumerator is above the best witness.
+      if (shared.enumeration_done || shared.best_index != kNoWitness) return;
+      while (pulled < batch_size &&
+             shared.enumerator.Next(&batch[pulled].word,
+                                    &batch[pulled].index)) {
+        ++pulled;
       }
-      shared.space_ready.notify_one();
+      if (pulled < batch_size) shared.enumeration_done = true;
     }
-    for (LassoCandidate& candidate : local) {
+    if (pulled == 0) return;
+    for (size_t i = 0; i < pulled; ++i) {
+      LassoCandidate& candidate = batch[i];
       // A witness of lower rank already won; ranks above it are moot.
-      bool cancelled = candidate.index >
-                       shared.best_hint.load(std::memory_order_relaxed);
-      // After a governor trip the queue is drained without evaluating, so
-      // the pool winds down within one candidate's evaluation per worker.
-      if (!cancelled && GovernorCheck(governor) != GovernorTrip::kNone) {
-        cancelled = true;
-      }
-      if (cancelled) {
-        ++tally.cancelled;
-        continue;
+      // After a governor trip the rest of the batch is dropped without
+      // evaluating, so the pool winds down within one candidate's
+      // evaluation per worker.
+      if (candidate.index > shared.best_hint.load(std::memory_order_relaxed) ||
+          GovernorCheck(governor) != GovernorTrip::kNone) {
+        tally.cancelled += pulled - i;
+        break;
       }
       ++tally.checked;
       const uint64_t eval_start = NowNs();
@@ -235,8 +238,9 @@ void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
           shared.best_hint.store(candidate.index, std::memory_order_relaxed);
           shared.best_word = std::move(candidate.word);
         }
-        // Wake the producer (to stop enumerating) and any waiting workers.
-        shared.space_ready.notify_all();
+        // The rest of the batch has higher ranks than this witness.
+        tally.cancelled += pulled - i - 1;
+        break;
       }
     }
   }
@@ -247,13 +251,26 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
                                   const LassoEvaluator& evaluate,
                                   SharedVisitedContext* ctx, int num_workers) {
   const uint64_t pool_start_ns = NowNs();
-  SharedState shared;
   const size_t batch = options.batch_size > 0 ? options.batch_size : 16;
-  const size_t capacity = batch * static_cast<size_t>(num_workers) * 2;
-
+  // The calling thread is worker 0; workers 1 .. num_workers - 1 are
+  // spawned. The worker-spawn failpoint is consulted once per worker,
+  // worker 0 included, so its Nth hit leaves a pool of N - 1 workers.
+  // Thread creation failing (resource exhaustion or the injected fault)
+  // degrades the pool to the workers already there rather than crashing;
+  // a pool of one is the serial search.
+  SharedState shared(nba, options);
   std::vector<WorkerTally> tallies(num_workers);
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers);
+  std::vector<std::thread> threads;
+  threads.reserve(num_workers - 1);
+  // Joins the spawned workers before `shared` and `tallies` go away, also
+  // when worker 0's evaluation throws.
+  struct JoinAll {
+    std::vector<std::thread>& threads;
+    ~JoinAll() {
+      for (std::thread& t : threads) t.join();
+    }
+  } join_all{threads};
+  int pool_size = 0;
   for (int w = 0; w < num_workers; ++w) {
     try {
       if (RAV_FAILPOINT("era/search/worker_spawn")) {
@@ -261,59 +278,25 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
             std::make_error_code(std::errc::resource_unavailable_try_again),
             "injected worker-spawn failure");
       }
-      workers.emplace_back([&shared, &evaluate, &tallies, ctx, batch,
-                            governor = options.governor, w] {
-        WorkerLoop(shared, evaluate, governor, ctx, batch, tallies[w]);
-      });
+      if (w > 0) {
+        threads.emplace_back([&shared, &evaluate, &tallies, ctx, batch,
+                              governor = options.governor, w] {
+          WorkerLoop(shared, evaluate, governor, ctx, batch, tallies[w]);
+        });
+      }
+      ++pool_size;
     } catch (const std::system_error&) {
-      // Thread creation failed (resource exhaustion or the injected
-      // fault): degrade to however many workers exist rather than
-      // crashing; with none, fall back to the serial path.
       RAV_METRIC_COUNT("era/search/worker_spawn_failures", 1);
       break;
     }
   }
-  if (workers.empty()) return SearchInline(nba, options, evaluate, ctx);
-  num_workers = static_cast<int>(workers.size());
-
-  // The calling thread is the producer: it drains the enumerator in
-  // batches and stops as soon as any witness exists (all candidates it
-  // would still produce have higher ranks and cannot win).
-  LassoEnumerator enumerator(nba, options.max_lasso_length,
-                             options.max_lassos, options.max_search_steps);
-  std::vector<LassoCandidate> staged;
-  staged.reserve(batch);
-  bool witness_seen = false;
-  while (!witness_seen) {
-    // One governor poll per batch: a trip stops production, and the
-    // workers drain whatever is queued without evaluating it.
-    if (GovernorCheck(options.governor) != GovernorTrip::kNone) break;
-    staged.clear();
-    LassoCandidate candidate;
-    while (staged.size() < batch &&
-           enumerator.Next(&candidate.word, &candidate.index)) {
-      staged.push_back(std::move(candidate));
-    }
-    if (staged.empty()) break;
-    std::unique_lock<std::mutex> lock(shared.mu);
-    shared.space_ready.wait(lock, [&] {
-      return shared.queue.size() < capacity ||
-             shared.best_index != kNoWitness;
-    });
-    if (shared.best_index != kNoWitness) {
-      witness_seen = true;
-      break;
-    }
-    for (LassoCandidate& c : staged) shared.queue.push_back(std::move(c));
-    RAV_METRIC_RECORD("era/search/queue_depth", shared.queue.size());
-    shared.work_ready.notify_all();
+  if (pool_size <= 1) {
+    // No thread was spawned, so nobody touched the shared enumerator.
+    return SearchInline(nba, options, evaluate, ctx);
   }
-  {
-    std::lock_guard<std::mutex> lock(shared.mu);
-    shared.producer_done = true;
-  }
-  shared.work_ready.notify_all();
-  for (std::thread& t : workers) t.join();
+  WorkerLoop(shared, evaluate, options.governor, ctx, batch, tallies[0]);
+  for (std::thread& t : threads) t.join();
+  threads.clear();
 
   LassoSearchOutcome outcome;
   if (shared.best_index != kNoWitness) {
@@ -321,7 +304,9 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
         LassoCandidate{shared.best_index, std::move(shared.best_word)};
   }
   const uint64_t pool_ns = NowNs() - pool_start_ns;
-  for (const WorkerTally& tally : tallies) {
+  for (int w = 0; w < pool_size; ++w) {
+    WorkerTally& tally = tallies[w];
+    tally.counters.scratch.FlushMetrics();
     outcome.stats.lassos_checked += tally.checked;
     outcome.stats.inconsistent_closures += tally.inconsistent;
     outcome.stats.closures_built += tally.counters.closures_built;
@@ -337,9 +322,10 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
                         tally.busy_ns * 100 / pool_ns);
     }
   }
+  const LassoEnumerator& enumerator = shared.enumerator;
   outcome.stats.lassos_enumerated = enumerator.delivered();
   outcome.stats.enumeration_steps = enumerator.steps();
-  outcome.stats.workers = num_workers;
+  outcome.stats.workers = pool_size;
   const GovernorTrip trip = options.governor != nullptr
                                 ? options.governor->trip()
                                 : GovernorTrip::kNone;

@@ -136,11 +136,12 @@ struct LassoSearchOptions {
   // (all in-tree evaluators are), since verdicts are reused across
   // decompositions of the same word.
   SearchMode mode = SearchMode::kPartitioned;
-  // Candidates handed to the queue per producer push.
+  // Candidates a worker pulls from the shared enumerator per lock
+  // round-trip.
   size_t batch_size = 16;
   // Resource governor (nullptr = unlimited). Polled at the engine's safe
-  // points — once per candidate on the inline path, per batch on the
-  // producer, per candidate on every worker — so a trip stops the search
+  // points — once per candidate on the inline path, and on every worker
+  // once per pull and once per candidate — so a trip stops the search
   // within one candidate's evaluation. A witness found before the trip
   // still wins; otherwise the trip becomes the stop reason and the
   // negative verdict is truncated (never silently definitive).
@@ -175,8 +176,10 @@ using LassoEvaluator =
 
 // The shared lasso-search engine behind Corollary 10 emptiness, Theorem 12
 // verification, and the Theorem 18 LR-boundedness sampler: enumerates the
-// accepting lassos of `nba` (single-threaded, deterministic order) and
-// feeds them to `evaluate` on a pool of `num_workers` threads. The first
+// accepting lassos of `nba` (deterministic order) and feeds them to
+// `evaluate` on a pool of `num_workers` threads — the calling thread and
+// num_workers - 1 spawned ones, each pulling batches of consecutive ranks
+// straight from the one shared enumerator under a mutex. The first
 // witness wins, with deterministic tie-breaking: after any witness is
 // found, candidates of higher rank are cancelled, candidates of lower rank
 // still complete, and the lowest-rank witness is returned — so verdict and

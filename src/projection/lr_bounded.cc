@@ -278,8 +278,8 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
     // The large window shares the small one's prefix: grow the closure by
     // the extra cycle pumps instead of rebuilding from position 0.
     ++counters.closures_extended;
-    ConstraintClosure large =
-        small.ExtendedBy(pump_large - pump_small, &counters.scratch);
+    ConstraintClosure large = std::move(small).ExtendedBy(
+        pump_large - pump_small, &counters.scratch);
     closure_charge.Add(large.ApproxBytes());
     int cover_large =
         MaxCutVertexCoverOfClosure(large, &counters.cover_scratch);

@@ -1,15 +1,20 @@
-// Differential tests of the linear-pass constraint-closure engine against
-// the reference per-start-restart engine, and of ExtendedBy against a
-// from-scratch rebuild. The two engines must agree on every observable:
+// Differential tests of the constraint-closure kernel against the
+// reference closure (tests/oracle/closure_oracle), including ExtendedBy
+// against a from-scratch build and the drain-shaped probe windows of the
+// emptiness search. Kernel and oracle must agree on every observable:
 // consistency, the class assignment of every node, adom membership, and
-// the deduplicated inequality edge set.
+// the deduplicated inequality edge set — whichever of them is read first.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 
+#include "automata/nba.h"
+#include "base/numbers.h"
 #include "era/constraint_graph.h"
+#include "io/text_format.h"
+#include "oracle/closure_oracle.h"
 #include "ra/control.h"
 #include "ra/random.h"
 
@@ -81,7 +86,7 @@ RandomInstance MakeInstance(std::mt19937& rng) {
 }
 
 void ExpectSameClosure(const ConstraintClosure& got,
-                       const ConstraintClosure& want) {
+                       const oracle::ReferenceClosure& want) {
   ASSERT_EQ(got.window(), want.window());
   ASSERT_EQ(got.num_nodes(), want.num_nodes());
   EXPECT_EQ(got.consistent(), want.consistent());
@@ -96,7 +101,12 @@ void ExpectSameClosure(const ConstraintClosure& got,
   EXPECT_EQ(got.NumAdomClasses(), want.NumAdomClasses());
 }
 
-TEST(ClosureDiffTest, LinearMatchesReferenceOnRandomInstances) {
+oracle::ReferenceClosure Oracle(const RandomInstance& inst, size_t window) {
+  return oracle::ReferenceConstraintClosure(inst.era, inst.alphabet,
+                                            inst.word, window);
+}
+
+TEST(ClosureDiffTest, KernelMatchesOracleOnRandomInstances) {
   std::mt19937 rng(20260806);
   ClosureScratch scratch;  // shared across iterations, like a search worker
   for (int iteration = 0; iteration < 200; ++iteration) {
@@ -104,16 +114,12 @@ TEST(ClosureDiffTest, LinearMatchesReferenceOnRandomInstances) {
     std::uniform_int_distribution<size_t> window_dist(
         inst.word.prefix.size() + inst.word.cycle.size(), 40);
     const size_t window = window_dist(rng);
-    ConstraintClosure fast(inst.era, inst.alphabet, inst.word, window,
-                           &scratch, ClosureEngine::kLinear);
-    ConstraintClosure reference = ReferenceConstraintClosure(
-        inst.era, inst.alphabet, inst.word, window, &scratch);
-    ExpectSameClosure(fast, reference);
-    // The default kAuto engine must agree with both whichever way the
-    // window-size crossover resolves it.
-    ConstraintClosure auto_pick(inst.era, inst.alphabet, inst.word, window,
-                                &scratch);
-    ExpectSameClosure(auto_pick, reference);
+    ConstraintClosure closure(inst.era, inst.alphabet, inst.word, window,
+                              &scratch);
+    ExpectSameClosure(closure, Oracle(inst, window));
+    // Without a scratch the closure owns its arrays; same answer.
+    ConstraintClosure unpooled(inst.era, inst.alphabet, inst.word, window);
+    ExpectSameClosure(unpooled, Oracle(inst, window));
   }
 }
 
@@ -129,18 +135,21 @@ TEST(ClosureDiffTest, ExtendedByMatchesRebuild) {
     const size_t extra_cycles = extra_dist(rng);
     const size_t wider_window =
         window + extra_cycles * inst.word.cycle.size();
+    const oracle::ReferenceClosure want = Oracle(inst, wider_window);
 
     ConstraintClosure base(inst.era, inst.alphabet, inst.word, window,
-                           &scratch, ClosureEngine::kLinear);
+                           &scratch);
     ConstraintClosure extended = base.ExtendedBy(extra_cycles, &scratch);
+    ExpectSameClosure(extended, want);
     ConstraintClosure rebuilt(inst.era, inst.alphabet, inst.word,
-                              wider_window, &scratch,
-                              ClosureEngine::kLinear);
-    ExpectSameClosure(extended, rebuilt);
-    // And against the reference engine at the wider window.
-    ConstraintClosure reference = ReferenceConstraintClosure(
-        inst.era, inst.alphabet, inst.word, wider_window);
-    ExpectSameClosure(extended, reference);
+                              wider_window, &scratch);
+    ExpectSameClosure(rebuilt, want);
+    // The copy left the base untouched, and growing the base in place
+    // agrees with the copy.
+    ExpectSameClosure(base, Oracle(inst, window));
+    ConstraintClosure grown =
+        std::move(base).ExtendedBy(extra_cycles, &scratch);
+    ExpectSameClosure(grown, want);
   }
 }
 
@@ -176,55 +185,124 @@ TEST(ClosureDiffTest, ExtendingTwiceMatchesExtendingOnce) {
     const size_t window =
         inst.word.prefix.size() + 2 * inst.word.cycle.size();
     ConstraintClosure base(inst.era, inst.alphabet, inst.word, window,
-                           &scratch, ClosureEngine::kLinear);
+                           &scratch);
     ConstraintClosure twice =
         base.ExtendedBy(1, &scratch).ExtendedBy(2, &scratch);
     ConstraintClosure once = base.ExtendedBy(3, &scratch);
-    ExpectSameClosure(twice, once);
+    const oracle::ReferenceClosure want =
+        Oracle(inst, window + 3 * inst.word.cycle.size());
+    ExpectSameClosure(twice, want);
+    ExpectSameClosure(once, want);
   }
 }
 
-TEST(ClosureDiffTest, ReferenceEngineExtendedByRebuilds) {
-  std::mt19937 rng(7);
-  RandomInstance inst = MakeInstance(rng);
-  const size_t window = inst.word.prefix.size() + inst.word.cycle.size();
-  ConstraintClosure reference = ReferenceConstraintClosure(
-      inst.era, inst.alphabet, inst.word, window);
-  ConstraintClosure wider = reference.ExtendedBy(2);
-  EXPECT_EQ(wider.window(), window + 2 * inst.word.cycle.size());
-  ConstraintClosure rebuilt = ReferenceConstraintClosure(
-      inst.era, inst.alphabet, inst.word, wider.window());
-  ExpectSameClosure(wider, rebuilt);
-}
-
-// kAuto picks the reference restarts below the crossover window and the
-// linear sweep above it, and an auto-picked small closure extended past
-// the crossover re-resolves to the linear engine.
-TEST(ClosureDiffTest, AutoEngineCrossesOverByWindowSize) {
-  std::mt19937 rng(20260807);
-  for (int iteration = 0; iteration < 20; ++iteration) {
+// Extending a refuted closure keeps it refuted (the contradiction is in
+// every wider window), and its canonical form, read after the extension,
+// is that of a build at the wider window.
+TEST(ClosureDiffTest, ExtendedRefutedClosureMatchesRebuild) {
+  std::mt19937 rng(20261020);
+  ClosureScratch scratch;
+  int refuted = 0;
+  for (int iteration = 0; iteration < 300; ++iteration) {
     RandomInstance inst = MakeInstance(rng);
-    if (inst.era.constraints().empty()) continue;
-    int max_states = 0;
-    for (const auto& c : inst.era.constraints()) {
-      max_states = std::max(max_states, c.dfa.num_states());
-    }
-    const size_t crossover = 2 * static_cast<size_t>(max_states);
-    const size_t small = inst.word.prefix.size() + inst.word.cycle.size();
-    ConstraintClosure at_small(inst.era, inst.alphabet, inst.word, small);
-    EXPECT_EQ(at_small.engine(), small >= crossover
-                                     ? ClosureEngine::kLinear
-                                     : ClosureEngine::kReference);
-    // Extend well past the crossover: the result must re-resolve to the
-    // linear engine and still match a reference rebuild.
-    size_t cycles = 0;
-    while (small + cycles * inst.word.cycle.size() < crossover + 8) ++cycles;
-    ConstraintClosure wide = at_small.ExtendedBy(cycles);
-    EXPECT_EQ(wide.engine(), ClosureEngine::kLinear);
-    ConstraintClosure rebuilt = ReferenceConstraintClosure(
-        inst.era, inst.alphabet, inst.word, wide.window());
-    ExpectSameClosure(wide, rebuilt);
+    const size_t window = inst.word.prefix.size() + inst.word.cycle.size();
+    ConstraintClosure base(inst.era, inst.alphabet, inst.word, window,
+                           &scratch);
+    if (base.consistent()) continue;
+    ++refuted;
+    ConstraintClosure extended = std::move(base).ExtendedBy(2, &scratch);
+    EXPECT_FALSE(extended.consistent()) << "iteration " << iteration;
+    ExpectSameClosure(extended,
+                      Oracle(inst, window + 2 * inst.word.cycle.size()));
   }
+  EXPECT_GT(refuted, 0);
+}
+
+// --- The emptiness search's drain, closure by closure ---------------------
+
+// The shift rings of the serving benchmark's search_drain workload (and
+// E6): k registers over n states, x_i = y_{i+1} on every ring edge, plus
+// skip edges s -> s+2 that also assert x1 = y1. `contradictory` adds an
+// equality and an inequality constraint over every s0 ... s0 factor;
+// otherwise two inequality constraints cross the ring.
+ExtendedAutomaton DrainRing(int k, int n, bool contradictory) {
+  std::string shift;
+  for (int i = 1; i < k; ++i) {
+    shift += IndexedName("x", i) + " = " + IndexedName("y", i + 1) + "  ";
+  }
+  std::string t = "automaton {\n  registers " + std::to_string(k) + "\n";
+  t += "  state s0 initial final\n";
+  for (int s = 1; s < n; ++s) t += "  state " + IndexedName("s", s) + "\n";
+  for (int s = 0; s < n; ++s) {
+    t += "  transition " + IndexedName("s", s) + " -> " +
+         IndexedName("s", (s + 1) % n) + " { " + shift + "}\n";
+    t += "  transition " + IndexedName("s", s) + " -> " +
+         IndexedName("s", (s + 2) % n) + " { " + shift + "x1 = y1 }\n";
+  }
+  if (contradictory) {
+    t += "  constraint eq 1 1 \"s0 .* s0\"\n";
+    t += "  constraint neq 1 1 \"s0 .* s0\"\n";
+  } else {
+    for (int a = 0; a < 2; ++a) {
+      t += "  constraint neq 1 1 \"" + IndexedName("s", a) + " .* " +
+           IndexedName("s", a + n / 2) + "\"\n";
+    }
+  }
+  t += "}\n";
+  Result<ExtendedAutomaton> era = ParseExtendedAutomaton(t);
+  RAV_CHECK(era.ok());
+  return std::move(*era);
+}
+
+// Every 8th of the first 320 accepting lassos of the ring's SControl, at
+// every window from 1 to two cycles past the prefix (the probe window),
+// then at every further cycle up to the full pump. Half the closures are
+// read edges-first, half consistent()-first, so neither order can lean
+// on the other having canonicalized. Returns how many were refuted.
+int DiffDrain(const ExtendedAutomaton& era) {
+  ControlAlphabet alphabet(era.automaton());
+  const Nba scontrol = BuildSControlNba(era.automaton(), alphabet);
+  const size_t pump = SuggestedPumpCount(era);
+  LassoEnumerator enumerator(scontrol, 12, 320, 500000);
+  ClosureScratch scratch;
+  LassoWord lasso;
+  size_t index = 0;
+  int closures = 0;
+  int refuted = 0;
+  while (enumerator.Next(&lasso, &index)) {
+    if (index % 8 != 0) continue;
+    const size_t probe = lasso.prefix.size() + 2 * lasso.cycle.size();
+    std::vector<size_t> windows;
+    for (size_t w = 1; w <= probe; ++w) windows.push_back(w);
+    for (size_t c = 3; c <= pump; ++c) {
+      windows.push_back(lasso.prefix.size() + c * lasso.cycle.size());
+    }
+    for (size_t window : windows) {
+      const oracle::ReferenceClosure want =
+          oracle::ReferenceConstraintClosure(era, alphabet, lasso, window);
+      ConstraintClosure got(era, alphabet, lasso, window, &scratch);
+      if (closures++ % 2 == 0) {
+        EXPECT_EQ(got.InequalityEdges(), want.InequalityEdges())
+            << "lasso " << index << " window " << window;
+      }
+      EXPECT_EQ(got.consistent(), want.consistent())
+          << "lasso " << index << " window " << window;
+      refuted += !got.consistent();
+      ExpectSameClosure(got, want);
+    }
+  }
+  EXPECT_GT(closures, 0);
+  return refuted;
+}
+
+TEST(ClosureDiffTest, ContradictoryDrainRingsMatchOracle) {
+  for (int n = 3; n <= 6; ++n) {
+    EXPECT_GT(DiffDrain(DrainRing(3, n, true)), 0) << n << " states";
+  }
+}
+
+TEST(ClosureDiffTest, CrossNeqRingsMatchOracle) {
+  for (int k = 2; k <= 4; ++k) DiffDrain(DrainRing(k, 3, false));
 }
 
 }  // namespace

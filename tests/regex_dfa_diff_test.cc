@@ -167,6 +167,57 @@ TEST(RegexDfaDiff, EdgeAlphabetsAndSymbols) {
   ExpectMatchesOracle(Regex::Optional(Regex::Epsilon()), 50);
 }
 
+// Nested '+' chains. Plus is a node of its own, compiled as one copy of
+// its operand plus a loop-back ε edge; the old construction expanded it
+// to a (a)* with `a` shared. Both denote the same language, so the
+// minimal DFA must be the same one, state for state, and so must the
+// rendering.
+TEST(RegexDfaDiff, PlusChainsMatchTheirExpansion) {
+  std::mt19937 rng(2026);
+  std::uniform_int_distribution<int> size(1, 6);
+  for (int i = 0; i < 60; ++i) {
+    const int n = size(rng);
+    Regex chain = RandomRegex(rng, AllSymbols(n), i % 3);
+    Regex expanded = chain;
+    for (int depth = 1; depth <= 6; ++depth) {
+      chain = Regex::Plus(chain);
+      expanded = Regex::Concat(expanded, Regex::Star(expanded));
+      ExpectMatchesOracle(chain, n);
+      ExpectSameDfa(chain.ToDfa(n), expanded.ToDfa(n));
+      const auto name = [](int s) { return std::to_string(s); };
+      EXPECT_EQ(chain.ToString(name), expanded.ToString(name));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// A constraint written "s0" followed by 40 '+' compiles with an NFA
+// linear in the nesting depth (the shared-operand expansion doubled it
+// per level: 2^40 copies), to the DFA of "s0+".
+TEST(RegexDfaDiff, DeepPlusNestingCompilesLinearly) {
+  const int depth = 40;
+  const std::string text = "s0" + std::string(depth, '+');
+  const auto resolve = [](const std::string& name) {
+    return name == "s0" ? 0 : -1;
+  };
+  Result<Regex> regex = Regex::Parse(text, resolve);
+  ASSERT_TRUE(regex.ok()) << regex.status().message();
+  EXPECT_LE(regex->ToNfa(3).num_states(), 2 * (depth + 1));
+  // (Not through ExpectMatchesOracle: the rendering in its trace is the
+  // expansion, exponential in the depth.)
+  ExpectSameDfa(regex->ToDfa(3), Regex::Plus(Regex::Symbol(0)).ToDfa(3));
+  ExpectSameDfa(regex->ToDfa(3), oracle::ReferenceRegexToDfa(*regex, 3));
+  // End to end through the spec parser, as a served request compiles it.
+  Result<ExtendedAutomaton> era = ParseExtendedAutomaton(
+      "automaton {\n  registers 1\n  state s0 initial final\n"
+      "  transition s0 -> s0 { }\n  constraint eq 1 1 \"" +
+      text + "\"\n}\n");
+  ASSERT_TRUE(era.ok()) << era.status().message();
+  ASSERT_EQ(era->constraints().size(), 1u);
+  EXPECT_EQ(era->constraints()[0].dfa.num_states(),
+            Regex::Plus(Regex::Symbol(0)).ToDfa(1).num_states());
+}
+
 std::string ReadFile(const std::filesystem::path& path) {
   std::ifstream in(path);
   std::stringstream buffer;

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
+#include <thread>
 
 #include "automata/nba.h"
+#include "base/failpoints.h"
+#include "base/governor.h"
 #include "base/numbers.h"
 #include "era/emptiness.h"
 #include "era/ltlfo.h"
@@ -560,6 +564,115 @@ TEST(ParallelSearch, StatsToStringMentionsStopReason) {
   EXPECT_FALSE(stats.truncated());
   stats.stop_reason = SearchStopReason::kExhausted;
   EXPECT_FALSE(stats.truncated());
+}
+
+// ---------------------------------------------------------------------------
+// The pull pool: the calling thread and the spawned workers take batches
+// of consecutive ranks straight from the shared enumerator.
+
+// With the worker-spawn failpoint firing on its first hit no worker can
+// be started, so the pool runs the serial search, and every outcome field
+// and work counter equals the 1-worker run's.
+TEST(PullPool, SpawnFailureOnEverySpawnEqualsSerial) {
+  for (bool contradictory : {false, true}) {
+    ExtendedAutomaton era = MakeShiftRingSearchEra(4, 6, contradictory);
+    ControlAlphabet alphabet(era.automaton());
+    Nba scontrol = BuildSControlNba(era.automaton(), alphabet);
+    EraEmptinessOptions serial;
+    serial.max_lasso_length = 12;
+    serial.max_lassos = 128;
+    serial.num_workers = 1;
+    EraEmptinessResult reference =
+        SearchConsistentLasso(era, alphabet, scontrol, serial);
+    EraEmptinessOptions options = serial;
+    options.num_workers = 4;
+    failpoints::Arm("era/search/worker_spawn", 1);
+    EraEmptinessResult degraded =
+        SearchConsistentLasso(era, alphabet, scontrol, options);
+    failpoints::DisarmAll();
+    SCOPED_TRACE(contradictory ? "contradictory" : "satisfiable");
+    EXPECT_EQ(degraded.nonempty, reference.nonempty);
+    EXPECT_EQ(degraded.control_word, reference.control_word);
+    EXPECT_EQ(degraded.stats.stop_reason, reference.stats.stop_reason);
+    EXPECT_EQ(degraded.stats.lassos_checked, reference.stats.lassos_checked);
+    EXPECT_EQ(degraded.stats.closures_built, reference.stats.closures_built);
+    EXPECT_EQ(degraded.stats.closures_extended,
+              reference.stats.closures_extended);
+    EXPECT_EQ(degraded.stats.inconsistent_closures,
+              reference.stats.inconsistent_closures);
+    EXPECT_EQ(degraded.stats.workers, 1);
+  }
+}
+
+// Witnesses at several ranks, with the low ranks the slowest to evaluate,
+// so workers holding higher-rank batches find their witnesses first: the
+// search must still return the lowest-rank witness at every worker count.
+TEST(PullPool, LowestRankWitnessWinsUnderASlowEvaluator) {
+  ExtendedAutomaton era = MakeShiftRingSearchEra(3, 5, false);
+  ControlAlphabet alphabet(era.automaton());
+  Nba scontrol = BuildSControlNba(era.automaton(), alphabet);
+  constexpr size_t kWitnessRanks[] = {37, 90, 150};
+  auto evaluate = [&](const LassoCandidate& candidate,
+                      LassoWorkerCounters&) {
+    if (candidate.index < 60) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(20 * (60 - candidate.index)));
+    }
+    for (size_t rank : kWitnessRanks) {
+      if (candidate.index == rank) return LassoVerdict::kWitness;
+    }
+    return LassoVerdict::kReject;
+  };
+  LassoSearchOptions options;
+  options.max_lasso_length = 12;
+  options.max_lassos = 200;
+  options.batch_size = 4;
+  options.num_workers = 1;
+  const LassoSearchOutcome serial = SearchLassos(scontrol, options, evaluate);
+  ASSERT_TRUE(serial.witness.has_value());
+  ASSERT_EQ(serial.witness->index, 37u);
+  for (int workers : {2, 4, 8}) {
+    options.num_workers = workers;
+    const LassoSearchOutcome outcome =
+        SearchLassos(scontrol, options, evaluate);
+    ASSERT_TRUE(outcome.witness.has_value()) << workers << " workers";
+    EXPECT_EQ(outcome.witness->index, 37u) << workers << " workers";
+    EXPECT_EQ(outcome.witness->word, serial.witness->word)
+        << workers << " workers";
+    EXPECT_EQ(outcome.stats.stop_reason, SearchStopReason::kWitnessFound);
+    EXPECT_EQ(outcome.stats.workers, workers);
+  }
+}
+
+// A deadline that passes mid-search stops every worker within one
+// candidate, and the negative verdict says so: stop reason kDeadline,
+// truncated, and fewer candidates checked than the budget allowed.
+TEST(PullPool, MidSearchDeadlineTruncatesTruthfully) {
+  ExtendedAutomaton era = MakeShiftRingSearchEra(4, 6, false);
+  ControlAlphabet alphabet(era.automaton());
+  Nba scontrol = BuildSControlNba(era.automaton(), alphabet);
+  auto evaluate = [](const LassoCandidate&, LassoWorkerCounters&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return LassoVerdict::kReject;
+  };
+  for (int workers : {1, 4}) {
+    ExecutionGovernor governor;
+    governor.set_deadline_after(std::chrono::milliseconds(20));
+    LassoSearchOptions options;
+    options.max_lasso_length = 12;
+    options.max_lassos = 5000;
+    options.num_workers = workers;
+    options.governor = &governor;
+    const LassoSearchOutcome outcome =
+        SearchLassos(scontrol, options, evaluate);
+    EXPECT_FALSE(outcome.witness.has_value()) << workers << " workers";
+    EXPECT_EQ(outcome.stats.stop_reason, SearchStopReason::kDeadline)
+        << workers << " workers";
+    EXPECT_TRUE(outcome.stats.truncated());
+    EXPECT_GT(outcome.stats.lassos_checked, 0u);
+    EXPECT_LT(outcome.stats.lassos_checked, options.max_lassos);
+    EXPECT_LE(outcome.stats.lassos_checked, outcome.stats.lassos_enumerated);
+  }
 }
 
 // ---------------------------------------------------------------------------

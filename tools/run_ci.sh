@@ -610,8 +610,10 @@ import json, sys
 HOT_PREFIXES = (
     "BM_ClosureLinear/",
     "BM_ClosureExtendOneCycle/",
+    "BM_ClosureProbeDrain",
     "BM_EmptinessExample5/",
     "BM_EmptinessContradictory/",
+    "BM_EmptinessShiftRingParallel/",
     "BM_LrBoundWindowFamily/",
     "BM_ClosureAndColoring/",
     "BM_PumpSweep/",
