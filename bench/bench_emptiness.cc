@@ -5,12 +5,16 @@
 // witnesses identical to the serial search.
 // Counters: nonempty, lassos_tried, stop_reason (SearchStopReason enum
 // value: 0 witness-found, 1 exhausted, 2 length-bound, 3 lasso-budget,
-// 4 step-budget), closures, workers.
+// 4 step-budget), closures, workers, prefix_refutations (candidates a
+// worker's refuted-prefix memo answered without a closure),
+// learn_closures (closures the memo's learn step built); the drain rungs
+// add closures_built (= closures) and enumeration_steps.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "era/emptiness.h"
+#include "oracle/lasso_enumerator_oracle.h"
 #include "ra/transform.h"
 
 namespace rav {
@@ -24,6 +28,9 @@ void AddSearchCounters(benchmark::State& state, const SearchStats& stats) {
   state.counters["inconsistent"] =
       static_cast<double>(stats.inconsistent_closures);
   state.counters["workers"] = static_cast<double>(stats.workers);
+  state.counters["prefix_refutations"] =
+      static_cast<double>(stats.prefix_refutations);
+  state.counters["learn_closures"] = static_cast<double>(stats.learn_closures);
 }
 
 void BM_EmptinessExample5(benchmark::State& state) {
@@ -174,6 +181,105 @@ BENCHMARK(BM_EmptinessShiftRingWitnessParallel)
     ->Arg(2)
     ->Arg(4)
     ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_EmptinessDrainRing(benchmark::State& state) {
+  // The serving benchmark's all-reject drain: the contradictory
+  // 3-register shift ring with skip edges over n states, completed, under
+  // CheckEraEmptiness's default bounds (5000 lassos of at most 12
+  // symbols). Every candidate is inconsistent; a worker's refuted-prefix
+  // memo answers most of them without a closure. Args = n, workers. The
+  // verdict, stop reason and work counters are checked identical to the
+  // serial search on every run.
+  const int n = static_cast<int>(state.range(0));
+  const int workers = static_cast<int>(state.range(1));
+  ExtendedAutomaton era =
+      bench::CompletedEra(bench::MakeShiftRingSearchEra(3, n, true));
+  ControlAlphabet alphabet(era.automaton());
+  EraEmptinessOptions options;
+  options.num_workers = workers;
+  EraEmptinessOptions serial = options;
+  serial.num_workers = 1;
+  auto reference = CheckEraEmptiness(era, alphabet, serial);
+  RAV_CHECK(reference.ok());
+  EraEmptinessResult last;
+  for (auto _ : state) {
+    auto result = CheckEraEmptiness(era, alphabet, options);
+    RAV_CHECK(result.ok());
+    last = *std::move(result);
+    benchmark::DoNotOptimize(last);
+  }
+  RAV_CHECK(!last.nonempty && !reference->nonempty);
+  RAV_CHECK(last.stats.stop_reason == reference->stats.stop_reason);
+  RAV_CHECK(last.stats.lassos_checked == reference->stats.lassos_checked);
+  RAV_CHECK(last.stats.inconsistent_closures ==
+            reference->stats.inconsistent_closures);
+  RAV_CHECK(last.stats.enumeration_steps ==
+            reference->stats.enumeration_steps);
+  AddSearchCounters(state, last.stats);
+  state.counters["closures_built"] =
+      static_cast<double>(last.stats.closures_built);
+  state.counters["enumeration_steps"] =
+      static_cast<double>(last.stats.enumeration_steps);
+}
+BENCHMARK(BM_EmptinessDrainRing)
+    ->Args({3, 1})
+    ->Args({3, 4})
+    ->Args({6, 1})
+    ->Args({6, 4})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The SControl NBA the drain rungs enumerate.
+Nba DrainRingNba(int n) {
+  ExtendedAutomaton era =
+      bench::CompletedEra(bench::MakeShiftRingSearchEra(3, n, true));
+  ControlAlphabet alphabet(era.automaton());
+  return BuildSControlNba(era.automaton(), alphabet);
+}
+
+// Drains `Enumerator` over 5000 lassos of at most 12 symbols — the
+// default emptiness bounds — and reports its steps and a checksum of the
+// lasso sequence (identical for both enumerators).
+template <typename Enumerator>
+void RunLassoEnumerate(benchmark::State& state) {
+  const Nba nba = DrainRingNba(static_cast<int>(state.range(0)));
+  size_t steps = 0;
+  size_t delivered = 0;
+  uint64_t checksum = 0;
+  LassoWord word;
+  for (auto _ : state) {
+    Enumerator enumerator(nba, 12, 5000, 500000);
+    size_t index = 0;
+    checksum = 0;
+    while (enumerator.Next(&word, &index)) {
+      checksum = checksum * 1000003 + word.prefix.size() * 31 +
+                 word.cycle.size() + (word.cycle.empty() ? 0 : word.cycle[0]);
+    }
+    steps = enumerator.steps();
+    delivered = enumerator.delivered();
+    benchmark::DoNotOptimize(checksum);
+  }
+  state.counters["delivered"] = static_cast<double>(delivered);
+  state.counters["enumeration_steps"] = static_cast<double>(steps);
+  state.counters["checksum_low"] = static_cast<double>(checksum & 0xffff);
+}
+
+void BM_LassoEnumerate(benchmark::State& state) {
+  // The production enumerator alone: O(1) node entry from per-state
+  // occurrence records.
+  RunLassoEnumerate<LassoEnumerator>(state);
+}
+BENCHMARK(BM_LassoEnumerate)->Arg(3)->Arg(6)->Unit(benchmark::kMillisecond);
+
+void BM_LassoEnumerateReference(benchmark::State& state) {
+  // The path-scanning reference enumerator (tests/oracle) on the same
+  // drain: node entry scans the whole path twice.
+  RunLassoEnumerate<oracle::ReferenceLassoEnumerator>(state);
+}
+BENCHMARK(BM_LassoEnumerateReference)
+    ->Arg(3)
+    ->Arg(6)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

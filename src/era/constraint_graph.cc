@@ -486,6 +486,19 @@ void ConstraintClosure::DecideConsistency() {
   }
 }
 
+size_t ConstraintClosure::ConflictWindowLowerBound() const {
+  if (consistent_) return 0;
+  // Node ids grow with position (constants first), so the later node of
+  // a pair decides the window that holds both.
+  int least = num_nodes();
+  for (const auto& [a, b] : s_.raw_ineq) {
+    const int later = std::max(a, b);
+    if (later < least && Find(a) == Find(b)) least = later;
+  }
+  if (least < num_constants_) return 1;
+  return static_cast<size_t>((least - num_constants_) / k_) + 1;
+}
+
 void ConstraintClosure::Canonicalize() const {
   if (canonical_) return;
   // Dense class ids in smallest-node order, so the assignment depends

@@ -214,6 +214,15 @@ class ConstraintClosure {
   // True iff no forced-equal pair is forced-distinct within the window.
   bool consistent() const { return consistent_; }
 
+  // For an inconsistent closure: the least w such that some forced-equal
+  // pair forced distinct here has both nodes within the first w
+  // positions. Every window shorter than w of the same word is
+  // consistent — a contradiction there would be one of its inequalities
+  // inside one class, and both persist into this wider window — so the
+  // shortest refuted prefix is at least w (and often exactly w). One scan
+  // of the raw inequalities; 0 for a consistent closure.
+  size_t ConflictWindowLowerBound() const;
+
   // Dense class id of a node (classes canonicalized by smallest node).
   int ClassOf(int node) const;
   int num_classes() const {

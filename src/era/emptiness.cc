@@ -246,28 +246,41 @@ EraEmptinessResult SearchConsistentLasso(const ExtendedAutomaton& era,
   auto evaluate = [&](const LassoCandidate& candidate,
                       LassoWorkerCounters& counters) -> LassoVerdict {
     const LassoWord& lasso = candidate.word;
+    const size_t full_window = WindowLength(lasso, pump);
+    // A candidate whose ω-word begins with a prefix this worker already
+    // refuted is inconsistent on its full window (RefutedPrefixMemo).
+    if (counters.prefix_memo.Refutes(era, alphabet, lasso, full_window,
+                                     &counters.scratch, options.governor)) {
+      return LassoVerdict::kInconsistent;
+    }
     // Every equality and inequality of a closure over a prefix of the
     // window is also in the closure over the whole window, so a
     // contradiction on the short probe window is a contradiction on the
     // full one. Only a consistent probe is grown to the full pump, which
     // spares all-reject searches most of each candidate's window.
     const size_t probe_pump = std::min(pump, kProbePump);
+    const size_t probe_window = WindowLength(lasso, probe_pump);
     ++counters.closures_built;
-    ConstraintClosure closure(era, alphabet, lasso,
-                              WindowLength(lasso, probe_pump),
+    ConstraintClosure closure(era, alphabet, lasso, probe_window,
                               &counters.scratch);
     // Account this candidate's closures against the memory budget for as
     // long as they are alive; the engine notices a trip before the next
     // candidate is evaluated.
     ScopedMemoryCharge closure_charge(options.governor,
                                       closure.ApproxBytes());
-    if (!closure.consistent()) return LassoVerdict::kInconsistent;
+    if (!closure.consistent()) {
+      counters.prefix_memo.Learn(lasso, 0, closure);
+      return LassoVerdict::kInconsistent;
+    }
     if (probe_pump < pump) {
       ++counters.closures_extended;
       closure = std::move(closure).ExtendedBy(pump - probe_pump,
                                               &counters.scratch);
       closure_charge.Add(closure.ApproxBytes());
-      if (!closure.consistent()) return LassoVerdict::kInconsistent;
+      if (!closure.consistent()) {
+        counters.prefix_memo.Learn(lasso, probe_window, closure);
+        return LassoVerdict::kInconsistent;
+      }
     }
     if (has_database && options.check_unbounded_adom) {
       // Example 8 guard: if one more cycle strictly grows the largest

@@ -30,7 +30,8 @@ struct EraEmptinessOptions {
   // all hardware threads). Verdict and witness are identical for every
   // setting; only wall time and the checked counts vary.
   int num_workers = kDefaultSearchWorkers;
-  // Candidates handed to the worker queue per producer push.
+  // A worker's first pull from the shared enumerator; later pulls
+  // self-size (LassoSearchOptions::batch_size).
   size_t batch_size = 16;
   // Work-sharing mode of the lasso engine (see SearchMode): kPartitioned
   // is the deterministic reference; kSharedVisited dedups candidates by

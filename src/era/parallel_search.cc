@@ -1,5 +1,6 @@
 #include "era/parallel_search.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -19,6 +20,13 @@ namespace rav {
 namespace {
 
 constexpr size_t kNoWitness = static_cast<size_t>(-1);
+
+// Self-sizing pulls (LassoSearchOptions::batch_size): the largest pull a
+// worker grows to, and the factor between a batch's evaluation time and
+// its pull's cost below which the next pull doubles (and at or above
+// which it halves).
+constexpr size_t kMaxPullSize = 256;
+constexpr uint64_t kCheapBatchFactor = 4;
 
 // The shared-visited state of one search: canonical ω-word encodings
 // interned in `set` (backed by `pool`), with each record's payload word
@@ -78,12 +86,27 @@ struct WorkerTally {
   size_t inconsistent = 0;
   size_t cancelled = 0;
   size_t visited_hits = 0;  // candidates answered from the visited set
-  uint64_t busy_ns = 0;     // time spent inside the evaluator
+  uint64_t busy_ns = 0;     // time spent evaluating pulled batches
   LassoWorkerCounters counters;
   // Shared-visited working state, owned by this worker's thread.
   StatePool::ThreadCache cache;
   std::vector<uint8_t> encode_buf;
 };
+
+// Adds one worker's tallies into `stats` and flushes its closure metrics.
+void MergeTally(WorkerTally& tally, SearchStats& stats) {
+  tally.counters.scratch.FlushMetrics();
+  const LassoWorkerCounters& counters = tally.counters;
+  stats.lassos_checked += tally.checked;
+  stats.inconsistent_closures += tally.inconsistent;
+  stats.closures_built += counters.closures_built;
+  stats.closures_extended += counters.closures_extended;
+  stats.prefix_refutations += counters.prefix_memo.refutations();
+  stats.learn_closures += counters.prefix_memo.learn_closures();
+  stats.guard_evals += counters.guard.evals;
+  stats.guard_batches += counters.guard.batches;
+  stats.visited_hits += tally.visited_hits;
+}
 
 // Evaluates one candidate, through the visited set when one is active.
 // In shared mode the candidate's word is first replaced by its canonical
@@ -148,14 +171,7 @@ LassoSearchOutcome SearchInline(const Nba& nba,
     }
   }
   outcome.stats.lassos_enumerated = enumerator.delivered();
-  outcome.stats.lassos_checked = tally.checked;
-  outcome.stats.inconsistent_closures = tally.inconsistent;
-  outcome.stats.closures_built = tally.counters.closures_built;
-  outcome.stats.closures_extended = tally.counters.closures_extended;
-  outcome.stats.guard_evals = tally.counters.guard.evals;
-  outcome.stats.guard_batches = tally.counters.guard.batches;
-  outcome.stats.visited_hits = tally.visited_hits;
-  tally.counters.scratch.FlushMetrics();
+  MergeTally(tally, outcome.stats);
   outcome.stats.enumeration_steps = enumerator.steps();
   outcome.stats.workers = 1;
   // Precedence: a witness found before the trip is still a witness; an
@@ -192,28 +208,38 @@ struct SharedState {
 // One worker: pull a batch of candidates (consecutive ranks) from the
 // shared enumerator, evaluate them without the lock, repeat until the
 // enumeration ends, a witness makes every unpulled rank moot, or the
-// governor trips. The batch's LassoWords are reused, so pulling allocates
-// nothing once they are warm.
+// governor trips. The pull self-sizes (see LassoSearchOptions::
+// batch_size): cheap batches double the next pull, up to kMaxPullSize;
+// batches that outweigh their pull halve it, down to `batch_size`. The
+// batch's LassoWords are reused, so pulling allocates nothing once they
+// are warm.
 void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
                 const ExecutionGovernor* governor, SharedVisitedContext* ctx,
                 size_t batch_size, WorkerTally& tally) {
-  std::vector<LassoCandidate> batch(batch_size);
+  const size_t max_pull = std::max(batch_size, kMaxPullSize);
+  size_t pull = batch_size;
+  std::vector<LassoCandidate> batch(pull);
   for (;;) {
     // One governor poll per pull: after a trip nothing more is pulled.
     if (GovernorCheck(governor) != GovernorTrip::kNone) return;
     size_t pulled = 0;
+    const uint64_t pull_start = NowNs();
     {
       std::lock_guard<std::mutex> lock(shared.mu);
       // Every rank still in the enumerator is above the best witness.
       if (shared.enumeration_done || shared.best_index != kNoWitness) return;
-      while (pulled < batch_size &&
+      while (pulled < pull &&
              shared.enumerator.Next(&batch[pulled].word,
                                     &batch[pulled].index)) {
         ++pulled;
       }
-      if (pulled < batch_size) shared.enumeration_done = true;
+      if (pulled < pull) shared.enumeration_done = true;
     }
+    const uint64_t pull_ns = NowNs() - pull_start;
     if (pulled == 0) return;
+    // The batch is timed as a whole: per-candidate clock reads would cost
+    // as much as a memo-refuted candidate's evaluation.
+    const uint64_t batch_start = NowNs();
     for (size_t i = 0; i < pulled; ++i) {
       LassoCandidate& candidate = batch[i];
       // A witness of lower rank already won; ranks above it are moot.
@@ -226,10 +252,8 @@ void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
         break;
       }
       ++tally.checked;
-      const uint64_t eval_start = NowNs();
       LassoVerdict verdict =
           EvaluateCandidate(ctx, evaluate, candidate, tally);
-      tally.busy_ns += NowNs() - eval_start;
       if (verdict == LassoVerdict::kInconsistent) ++tally.inconsistent;
       if (verdict == LassoVerdict::kWitness) {
         std::lock_guard<std::mutex> lock(shared.mu);
@@ -242,6 +266,16 @@ void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
         tally.cancelled += pulled - i - 1;
         break;
       }
+    }
+    const uint64_t batch_ns = NowNs() - batch_start;
+    tally.busy_ns += batch_ns;
+    if (batch_ns < kCheapBatchFactor * pull_ns) {
+      if (pull < max_pull) {
+        pull = std::min(2 * pull, max_pull);
+        if (batch.size() < pull) batch.resize(pull);
+      }
+    } else if (pull > batch_size) {
+      pull = std::max(pull / 2, batch_size);
     }
   }
 }
@@ -306,14 +340,7 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
   const uint64_t pool_ns = NowNs() - pool_start_ns;
   for (int w = 0; w < pool_size; ++w) {
     WorkerTally& tally = tallies[w];
-    tally.counters.scratch.FlushMetrics();
-    outcome.stats.lassos_checked += tally.checked;
-    outcome.stats.inconsistent_closures += tally.inconsistent;
-    outcome.stats.closures_built += tally.counters.closures_built;
-    outcome.stats.closures_extended += tally.counters.closures_extended;
-    outcome.stats.guard_evals += tally.counters.guard.evals;
-    outcome.stats.guard_batches += tally.counters.guard.batches;
-    outcome.stats.visited_hits += tally.visited_hits;
+    MergeTally(tally, outcome.stats);
     RAV_METRIC_COUNT("era/search/candidates_cancelled", tally.cancelled);
     RAV_METRIC_COUNT("era/search/worker_busy_ns", tally.busy_ns);
     // Fraction of the pool's lifetime each worker spent evaluating.
@@ -399,6 +426,8 @@ std::string SearchStats::ToString() const {
       << " enumerated=" << lassos_enumerated << " checked=" << lassos_checked
       << " closures=" << closures_built
       << " extended=" << closures_extended
+      << " prefix_refuted=" << prefix_refutations
+      << " learn_closures=" << learn_closures
       << " inconsistent=" << inconsistent_closures
       << " steps=" << enumeration_steps << " workers=" << workers
       << " wall_ms=" << wall_seconds * 1e3;
@@ -461,6 +490,9 @@ LassoSearchOutcome SearchLassos(const Nba& nba,
                    outcome.stats.enumeration_steps);
   RAV_METRIC_COUNT("era/search/inconsistent_closures",
                    outcome.stats.inconsistent_closures);
+  RAV_METRIC_COUNT("era/search/prefix_refutations",
+                   outcome.stats.prefix_refutations);
+  RAV_METRIC_COUNT("era/search/learn_closures", outcome.stats.learn_closures);
   if (outcome.stats.guard_evals > 0) {
     RAV_METRIC_COUNT("era/guard/evals", outcome.stats.guard_evals);
     RAV_METRIC_COUNT("era/guard/batches", outcome.stats.guard_batches);

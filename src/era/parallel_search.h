@@ -11,6 +11,7 @@
 #include "compile/guard_tables.h"
 #include "era/constraint_graph.h"
 #include "era/cover_scratch.h"
+#include "era/refuted_prefix_memo.h"
 
 namespace rav {
 
@@ -73,9 +74,15 @@ const char* SearchStopReasonName(SearchStopReason reason);
 struct SearchStats {
   size_t lassos_enumerated = 0;    // candidates the enumerator produced
   size_t lassos_checked = 0;       // candidates a worker evaluated
-  size_t closures_built = 0;       // ConstraintClosure constructions
+  size_t closures_built = 0;       // candidates' first closures
   size_t closures_extended = 0;    // closures grown via ExtendedBy
   size_t inconsistent_closures = 0;  // candidates rejected as inconsistent
+  // Candidates refuted by their worker's refuted-prefix memo without a
+  // closure (see RefutedPrefixMemo), and the closures the memo's learn
+  // step built — counted apart from closures_built, so that every
+  // evaluated candidate is either built or memo-refuted.
+  size_t prefix_refutations = 0;
+  size_t learn_closures = 0;
   size_t enumeration_steps = 0;    // DFS node expansions spent
   int workers = 1;                 // worker threads that evaluated lassos
   double wall_seconds = 0.0;
@@ -137,7 +144,12 @@ struct LassoSearchOptions {
   // decompositions of the same word.
   SearchMode mode = SearchMode::kPartitioned;
   // Candidates a worker pulls from the shared enumerator per lock
-  // round-trip.
+  // round-trip at first. A worker doubles its next pull, up to 256, while
+  // its last batch took less time to evaluate than 4x what the pull cost
+  // (lock wait included), and halves it again, down to batch_size, once
+  // evaluation outweighs the pull by that factor — so cheap candidates
+  // (memo refutations) stop thrashing the enumerator lock, and expensive
+  // ones keep small batches for load balance.
   size_t batch_size = 16;
   // Resource governor (nullptr = unlimited). Polled at the engine's safe
   // points — once per candidate on the inline path, and on every worker
@@ -160,12 +172,15 @@ struct LassoSearchOutcome {
 // Carries the worker's closure and cover scratch buffers, so every
 // closure an evaluator builds, and every G^w_h cover it measures, on this
 // worker reuses the same temporaries.
+// The worker's refuted-prefix memo lives here too, so an evaluator's
+// refutations on this worker prune its later candidates.
 struct LassoWorkerCounters {
   size_t closures_built = 0;
   size_t closures_extended = 0;
   compile::GuardStats guard;  // compiled guard evaluations (witness checks)
   ClosureScratch scratch;
   CoverScratch cover_scratch;
+  RefutedPrefixMemo prefix_memo;
 };
 
 // Evaluates one candidate. Must be safe to call concurrently from several

@@ -268,13 +268,22 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
                       LassoWorkerCounters& counters) -> LassoVerdict {
     const LassoWord& lasso = candidate.word;
     size_t w_small = lasso.prefix.size() + lasso.cycle.size() * pump_small;
+    // An inconsistent small window contributes nothing to the fold, and
+    // the worker's memo can prove one without a closure.
+    if (counters.prefix_memo.Refutes(era, alphabet, lasso, w_small,
+                                     &counters.scratch, options.governor)) {
+      return LassoVerdict::kInconsistent;
+    }
     ++counters.closures_built;
     ConstraintClosure small(era, alphabet, lasso, w_small,
                             &counters.scratch);
     ScopedMemoryCharge closure_charge(options.governor, small.ApproxBytes());
     int cover_small =
         MaxCutVertexCoverOfClosure(small, &counters.cover_scratch);
-    if (cover_small < 0) return LassoVerdict::kInconsistent;
+    if (cover_small < 0) {
+      counters.prefix_memo.Learn(lasso, 0, small);
+      return LassoVerdict::kInconsistent;
+    }
     // The large window shares the small one's prefix: grow the closure by
     // the extra cycle pumps instead of rebuilding from position 0.
     ++counters.closures_extended;

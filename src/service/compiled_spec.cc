@@ -153,6 +153,7 @@ std::shared_ptr<const CompiledSpec> SpecCache::FindByHash(
   if (it == entries_.end()) return nullptr;
   it->second.last_used = ++tick_;
   ++hits_;
+  RAV_METRIC_COUNT("service/cache_hits", 1);
   return it->second.spec;
 }
 

@@ -349,6 +349,40 @@ TEST(ServiceTest, StatsCountRequestsAndCacheTraffic) {
   EXPECT_EQ(response.details.Find("cache_misses")->number_value(), 1);
 }
 
+// Hits by text and by hash both count in the process metric, so the
+// service/cache_hits counter moves exactly as the stats op's cache_hits.
+TEST(ServiceTest, CacheHitsMetricMatchesStatsOverTextAndHashRequests) {
+  auto metric_hits = [] {
+    for (const metrics::MetricSnapshot& m : metrics::Snapshot()) {
+      if (m.name == "service/cache_hits") return m.value;
+    }
+    return uint64_t{0};
+  };
+  Service service;
+  auto stats_hits = [&service] {
+    QueryRequest stats;
+    stats.id = "stats";
+    stats.op = Op::kStats;
+    return service.Handle(stats).details.Find("cache_hits")->number_value();
+  };
+  const uint64_t metric_before = metric_hits();
+  const double stats_before = stats_hits();
+  QueryResponse first =
+      service.Handle(SpecRequest("r1", Op::kInfo, kPingPong));
+  ASSERT_TRUE(first.ok) << first.error;
+  service.Handle(SpecRequest("r2", Op::kInfo, kPingPong));
+  for (const char* id : {"r3", "r4", "r5"}) {
+    QueryRequest by_hash;
+    by_hash.id = id;
+    by_hash.op = Op::kInfo;
+    by_hash.spec_hash = first.spec_hash;
+    ASSERT_TRUE(service.Handle(by_hash).cache_hit);
+  }
+  const double stats_delta = stats_hits() - stats_before;
+  EXPECT_EQ(stats_delta, 4);
+  EXPECT_EQ(static_cast<double>(metric_hits() - metric_before), stats_delta);
+}
+
 TEST(ServiceTest, ResponseJsonLineIsOneParseableLine) {
   Service service;
   QueryResponse response =

@@ -589,8 +589,8 @@ EOF
 
 echo "== perf-regression gate =="
 # The hot benchmarks below guard the closure engine, the G^w_h cover
-# kernel, the SControl builder, spec and constraint compilation, and the
-# decision procedures built on them. Their time per
+# kernel, the lasso enumerator, the SControl builder, spec and constraint
+# compilation, and the decision procedures built on them. Their time per
 # iteration is compared against the committed baseline (the HEAD version
 # of BENCH_RESULTS.json — the working-tree file was just overwritten by
 # this run). Benchmarks absent from the baseline (new in this change) are
@@ -614,6 +614,8 @@ HOT_PREFIXES = (
     "BM_EmptinessExample5/",
     "BM_EmptinessContradictory/",
     "BM_EmptinessShiftRingParallel/",
+    "BM_EmptinessDrainRing/",
+    "BM_LassoEnumerate/",
     "BM_LrBoundWindowFamily/",
     "BM_ClosureAndColoring/",
     "BM_PumpSweep/",
