@@ -33,10 +33,8 @@ struct EraEmptinessOptions {
   // A worker's first pull from the shared enumerator; later pulls
   // self-size (LassoSearchOptions::batch_size).
   size_t batch_size = 16;
-  // Work-sharing mode of the lasso engine (see SearchMode): kPartitioned
-  // is the deterministic reference; kSharedVisited dedups candidates by
-  // canonical ω-word across workers (same verdict; a witness's word is
-  // reported in canonical form).
+  // Unread; kept only because perfbench/src/replay.cc sets it (see
+  // SearchMode).
   SearchMode search_mode = SearchMode::kPartitioned;
   // Run analysis::AnalyzeAndStrip first and search the reduced automaton
   // (dead states/transitions and vacuous constraints removed; verdict and

@@ -9,10 +9,8 @@
 #include <thread>
 #include <vector>
 
-#include "base/concurrent_set.h"
 #include "base/failpoints.h"
 #include "base/metrics.h"
-#include "base/state_pool.h"
 #include "base/trace.h"
 
 namespace rav {
@@ -27,41 +25,6 @@ constexpr size_t kNoWitness = static_cast<size_t>(-1);
 // which it halves).
 constexpr size_t kMaxPullSize = 256;
 constexpr uint64_t kCheapBatchFactor = 4;
-
-// The shared-visited state of one search: canonical ω-word encodings
-// interned in `set` (backed by `pool`), with each record's payload word
-// publishing the evaluated verdict — 0 while pending, verdict + 1 once
-// known, released/acquired so a reader sees a fully evaluated entry.
-struct SharedVisitedContext {
-  StatePool pool;
-  ConcurrentSet set;
-
-  explicit SharedVisitedContext(const ExecutionGovernor* governor)
-      : pool(governor), set(&pool, governor) {}
-};
-
-// LEB128 with zigzag for the symbols, so any int alphabet round-trips.
-void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(v));
-}
-
-uint64_t Zigzag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-
-// The interning key: lengths then symbols of the canonical decomposition.
-// Self-delimiting, so equal byte strings mean equal ω-words.
-void EncodeLasso(const LassoWord& word, std::vector<uint8_t>& out) {
-  out.clear();
-  AppendVarint(out, word.prefix.size());
-  AppendVarint(out, word.cycle.size());
-  for (int s : word.prefix) AppendVarint(out, Zigzag(s));
-  for (int s : word.cycle) AppendVarint(out, Zigzag(s));
-}
 
 SearchStopReason FromEnumStop(LassoEnumStop stop) {
   switch (stop) {
@@ -85,12 +48,8 @@ struct WorkerTally {
   size_t checked = 0;
   size_t inconsistent = 0;
   size_t cancelled = 0;
-  size_t visited_hits = 0;  // candidates answered from the visited set
-  uint64_t busy_ns = 0;     // time spent evaluating pulled batches
+  uint64_t busy_ns = 0;  // time spent evaluating pulled batches
   LassoWorkerCounters counters;
-  // Shared-visited working state, owned by this worker's thread.
-  StatePool::ThreadCache cache;
-  std::vector<uint8_t> encode_buf;
 };
 
 // Adds one worker's tallies into `stats` and flushes its closure metrics.
@@ -105,39 +64,6 @@ void MergeTally(WorkerTally& tally, SearchStats& stats) {
   stats.learn_closures += counters.prefix_memo.learn_closures();
   stats.guard_evals += counters.guard.evals;
   stats.guard_batches += counters.guard.batches;
-  stats.visited_hits += tally.visited_hits;
-}
-
-// Evaluates one candidate, through the visited set when one is active.
-// In shared mode the candidate's word is first replaced by its canonical
-// decomposition (the evaluator's verdict is a function of the ω-word, so
-// this changes nothing but the witness's spelling) and the verdict is
-// published into the interned record's payload word; a candidate whose
-// canonical form was already decided is answered without evaluating. Two
-// workers racing on a fresh entry both evaluate — the pure-function
-// contract makes the double publish idempotent, and not waiting keeps
-// workers off each other's critical paths.
-LassoVerdict EvaluateCandidate(SharedVisitedContext* ctx,
-                               const LassoEvaluator& evaluate,
-                               LassoCandidate& candidate, WorkerTally& tally) {
-  if (ctx == nullptr) return evaluate(candidate, tally.counters);
-  candidate.word = candidate.word.Canonicalized();
-  EncodeLasso(candidate.word, tally.encode_buf);
-  const ConcurrentSet::InternResult interned =
-      ctx->set.Intern(tally.cache, tally.encode_buf.data(),
-                      static_cast<uint32_t>(tally.encode_buf.size()));
-  std::atomic<uint32_t>& payload = ctx->pool.Payload(interned.handle);
-  if (!interned.inserted) {
-    const uint32_t published = payload.load(std::memory_order_acquire);
-    if (published != 0) {
-      ++tally.visited_hits;
-      return static_cast<LassoVerdict>(published - 1);
-    }
-  }
-  const LassoVerdict verdict = evaluate(candidate, tally.counters);
-  payload.store(static_cast<uint32_t>(verdict) + 1,
-                std::memory_order_release);
-  return verdict;
 }
 
 uint64_t NowNs() {
@@ -151,8 +77,7 @@ uint64_t NowNs() {
 // order — the serial reference path (num_workers <= 1).
 LassoSearchOutcome SearchInline(const Nba& nba,
                                 const LassoSearchOptions& options,
-                                const LassoEvaluator& evaluate,
-                                SharedVisitedContext* ctx) {
+                                const LassoEvaluator& evaluate) {
   LassoSearchOutcome outcome;
   LassoEnumerator enumerator(nba, options.max_lasso_length,
                              options.max_lassos, options.max_search_steps);
@@ -163,7 +88,7 @@ LassoSearchOutcome SearchInline(const Nba& nba,
     trip = GovernorCheck(options.governor);
     if (trip != GovernorTrip::kNone) break;
     ++tally.checked;
-    LassoVerdict verdict = EvaluateCandidate(ctx, evaluate, candidate, tally);
+    LassoVerdict verdict = evaluate(candidate, tally.counters);
     if (verdict == LassoVerdict::kInconsistent) ++tally.inconsistent;
     if (verdict == LassoVerdict::kWitness) {
       outcome.witness = std::move(candidate);
@@ -214,8 +139,8 @@ struct SharedState {
 // batch's LassoWords are reused, so pulling allocates nothing once they
 // are warm.
 void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
-                const ExecutionGovernor* governor, SharedVisitedContext* ctx,
-                size_t batch_size, WorkerTally& tally) {
+                const ExecutionGovernor* governor, size_t batch_size,
+                WorkerTally& tally) {
   const size_t max_pull = std::max(batch_size, kMaxPullSize);
   size_t pull = batch_size;
   std::vector<LassoCandidate> batch(pull);
@@ -252,8 +177,7 @@ void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
         break;
       }
       ++tally.checked;
-      LassoVerdict verdict =
-          EvaluateCandidate(ctx, evaluate, candidate, tally);
+      LassoVerdict verdict = evaluate(candidate, tally.counters);
       if (verdict == LassoVerdict::kInconsistent) ++tally.inconsistent;
       if (verdict == LassoVerdict::kWitness) {
         std::lock_guard<std::mutex> lock(shared.mu);
@@ -283,7 +207,7 @@ void WorkerLoop(SharedState& shared, const LassoEvaluator& evaluate,
 LassoSearchOutcome SearchParallel(const Nba& nba,
                                   const LassoSearchOptions& options,
                                   const LassoEvaluator& evaluate,
-                                  SharedVisitedContext* ctx, int num_workers) {
+                                  int num_workers) {
   const uint64_t pool_start_ns = NowNs();
   const size_t batch = options.batch_size > 0 ? options.batch_size : 16;
   // The calling thread is worker 0; workers 1 .. num_workers - 1 are
@@ -313,9 +237,9 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
             "injected worker-spawn failure");
       }
       if (w > 0) {
-        threads.emplace_back([&shared, &evaluate, &tallies, ctx, batch,
+        threads.emplace_back([&shared, &evaluate, &tallies, batch,
                               governor = options.governor, w] {
-          WorkerLoop(shared, evaluate, governor, ctx, batch, tallies[w]);
+          WorkerLoop(shared, evaluate, governor, batch, tallies[w]);
         });
       }
       ++pool_size;
@@ -326,9 +250,9 @@ LassoSearchOutcome SearchParallel(const Nba& nba,
   }
   if (pool_size <= 1) {
     // No thread was spawned, so nobody touched the shared enumerator.
-    return SearchInline(nba, options, evaluate, ctx);
+    return SearchInline(nba, options, evaluate);
   }
-  WorkerLoop(shared, evaluate, options.governor, ctx, batch, tallies[0]);
+  WorkerLoop(shared, evaluate, options.governor, batch, tallies[0]);
   for (std::thread& t : threads) t.join();
   threads.clear();
 
@@ -384,18 +308,8 @@ const char* SearchModeName(SearchMode mode) {
   switch (mode) {
     case SearchMode::kPartitioned:
       return "partitioned";
-    case SearchMode::kSharedVisited:
-      return "shared";
   }
   return "unknown";
-}
-
-std::optional<SearchMode> ParseSearchMode(std::string_view name) {
-  if (name == "partitioned") return SearchMode::kPartitioned;
-  if (name == "shared" || name == "shared-visited") {
-    return SearchMode::kSharedVisited;
-  }
-  return std::nullopt;
 }
 
 const char* SearchStopReasonName(SearchStopReason reason) {
@@ -431,15 +345,8 @@ std::string SearchStats::ToString() const {
       << " inconsistent=" << inconsistent_closures
       << " steps=" << enumeration_steps << " workers=" << workers
       << " wall_ms=" << wall_seconds * 1e3;
-  // Partitioned output is unchanged; the shared-mode fields only appear
-  // when they can be nonzero.
-  if (mode == SearchMode::kSharedVisited) {
-    out << " mode=" << SearchModeName(mode) << " visited_hits=" << visited_hits
-        << " visited_entries=" << visited_entries
-        << " pool_bytes=" << pool_bytes;
-  }
-  // Likewise the compiled-guard fields: absent under the interpreted
-  // engine, so existing consumers of the line see no change.
+  // The compiled-guard fields are absent under the interpreted engine, so
+  // existing consumers of the line see no change.
   if (guard_evals > 0 || guard_table_bytes > 0) {
     out << " guard_evals=" << guard_evals
         << " guard_batches=" << guard_batches
@@ -457,28 +364,9 @@ LassoSearchOutcome SearchLassos(const Nba& nba,
   if (num_workers == 0) {
     num_workers = static_cast<int>(std::thread::hardware_concurrency());
   }
-  // The visited set lives for exactly one search: the governor is charged
-  // for its pool and table while the search runs and released here, so a
-  // memory budget bounds the search's own high-water mark.
-  std::optional<SharedVisitedContext> visited;
-  if (options.mode == SearchMode::kSharedVisited) {
-    visited.emplace(options.governor);
-  }
-  SharedVisitedContext* ctx = visited.has_value() ? &*visited : nullptr;
   LassoSearchOutcome outcome =
-      num_workers <= 1
-          ? SearchInline(nba, options, evaluate, ctx)
-          : SearchParallel(nba, options, evaluate, ctx, num_workers);
-  outcome.stats.mode = options.mode;
-  if (ctx != nullptr) {
-    outcome.stats.visited_entries = ctx->set.size();
-    outcome.stats.pool_bytes = ctx->pool.bytes_reserved() +
-                               ctx->set.bytes_reserved();
-    RAV_METRIC_COUNT("era/search/visited_hits", outcome.stats.visited_hits);
-    RAV_METRIC_SET("era/search/visited_entries",
-                   outcome.stats.visited_entries);
-    RAV_METRIC_SET("era/search/pool_bytes", outcome.stats.pool_bytes);
-  }
+      num_workers <= 1 ? SearchInline(nba, options, evaluate)
+                       : SearchParallel(nba, options, evaluate, num_workers);
   outcome.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -4,7 +4,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "automata/nba.h"
 #include "base/governor.h"
@@ -15,31 +14,19 @@
 
 namespace rav {
 
-// How candidate work is divided among search workers.
-//
-// kPartitioned is the reference engine: candidates are dealt to workers
-// by enumeration rank and every worker evaluates its own candidates from
-// scratch. Verdict, witness, and stop reason are byte-identical to the
-// serial search for any worker count.
-//
-// kSharedVisited adds a process-wide visited set: each candidate is
-// reduced to the canonical decomposition of its ω-word (primitive cycle,
-// minimal prefix — see LassoWord::Canonicalized), interned into a pooled
-// concurrent hash set, and evaluated at most once; every later candidate
-// denoting the same ω-word reuses the published verdict, so one worker's
-// dead subspace is every worker's dead subspace. Verdict and stop reason
-// still match the partitioned engine (the evaluator's verdict is a
-// function of the ω-word, and the first witness by rank still wins), but
-// a witness's word is reported in canonical form rather than in whichever
-// decomposition the enumerator happened to deliver first.
+// The lasso engine's one work-sharing mode: candidates are pulled by
+// workers in enumeration-rank batches and each worker evaluates its own
+// candidates, so verdict, witness, and stop reason are byte-identical to
+// the serial search for any worker count. Kept, with SearchModeName and
+// the search_mode option fields, only because perfbench/src/replay.cc
+// compiles against them (a change to the benchmark can drop them);
+// nothing in src/ branches on it.
 enum class SearchMode {
   kPartitioned = 0,
-  kSharedVisited = 1,
 };
 
-// Stable name ("partitioned", "shared") / its inverse (nullopt on junk).
+// Stable name ("partitioned").
 const char* SearchModeName(SearchMode mode);
-std::optional<SearchMode> ParseSearchMode(std::string_view name);
 
 // The default worker count of every search-backed procedure (emptiness,
 // LTL-FO verification, LR-boundedness) and of the CLI/service `threads`
@@ -87,11 +74,6 @@ struct SearchStats {
   int workers = 1;                 // worker threads that evaluated lassos
   double wall_seconds = 0.0;
   SearchStopReason stop_reason = SearchStopReason::kExhausted;
-  SearchMode mode = SearchMode::kPartitioned;
-  // Shared-visited instrumentation (all zero in partitioned mode).
-  size_t visited_hits = 0;     // candidates answered from the visited set
-  size_t visited_entries = 0;  // distinct canonical ω-words interned
-  size_t pool_bytes = 0;       // governor-accounted set + pool bytes
   // Compiled-guard instrumentation (era/guard/* metrics; all zero under
   // GuardEngine::kInterpreted).
   size_t guard_evals = 0;       // valuations decided through compiled tables
@@ -138,11 +120,6 @@ struct LassoSearchOptions {
   // Worker threads evaluating candidates. <= 1 runs inline on the calling
   // thread (no thread is spawned); 0 means "all hardware threads".
   int num_workers = kDefaultSearchWorkers;
-  // Work-sharing mode; see SearchMode. kSharedVisited requires the
-  // evaluator's verdict to be a function of the candidate's ω-word alone
-  // (all in-tree evaluators are), since verdicts are reused across
-  // decompositions of the same word.
-  SearchMode mode = SearchMode::kPartitioned;
   // Candidates a worker pulls from the shared enumerator per lock
   // round-trip at first. A worker doubles its next pull, up to 256, while
   // its last batch took less time to evaluate than 4x what the pull cost

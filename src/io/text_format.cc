@@ -146,6 +146,7 @@ class TfParser {
     // First pass directives must come in a workable order: we buffer
     // declarations, then build.
     int registers = -1;
+    SourceLocation registers_loc;
     Schema schema;
     struct StateDecl {
       std::string name;
@@ -179,6 +180,7 @@ class TfParser {
       const SourceLocation directive_loc = Peek().loc;
       RAV_ASSIGN_OR_RETURN(std::string directive, Ident());
       if (directive == "registers") {
+        registers_loc = directive_loc;
         RAV_ASSIGN_OR_RETURN(registers, Number());
       } else if (directive == "schema") {
         RAV_RETURN_IF_ERROR(Expect(TfToken::Kind::kLBrace));
@@ -287,6 +289,15 @@ class TfParser {
 
     // --- Build ---
     if (registers < 0) return Err("missing 'registers' directive");
+    // A guard's elements (x1..xk, y1..yk, then the constants) are indexed
+    // by int, so 2k + |constants| must fit in one.
+    if (2 * static_cast<long long>(registers) + schema.num_constants() >
+        std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument(
+          "text format (" + registers_loc.ToString() + "): registers " +
+          std::to_string(registers) +
+          " too large (2 * registers + constants must fit in a 32-bit int)");
+    }
     RegisterAutomaton automaton(registers, schema);
     for (const StateDecl& s : states) {
       if (automaton.FindState(s.name).valid()) {

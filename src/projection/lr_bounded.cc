@@ -309,7 +309,6 @@ Result<LrBoundResult> EstimateLrBound(const ExtendedAutomaton& era,
   search_options.max_search_steps = options.max_search_steps;
   search_options.num_workers = options.num_workers;
   search_options.batch_size = options.batch_size;
-  search_options.mode = options.search_mode;
   search_options.governor = options.governor;
   LassoSearchOutcome outcome =
       SearchLassos(scontrol, search_options, evaluate);

@@ -38,11 +38,8 @@ struct LrBoundOptions {
   // commutative, so the result is identical for every setting.
   int num_workers = kDefaultSearchWorkers;
   size_t batch_size = 16;
-  // Work-sharing mode of the sampler (see SearchMode). kSharedVisited
-  // measures each distinct ω-word once, at its canonical decomposition;
-  // because measurement windows scale with the cycle length, the sampled
-  // aggregates can differ slightly from partitioned mode, which measures
-  // duplicate decompositions at their delivered (pumped) cycles.
+  // Unread; kept only because perfbench/src/replay.cc sets it (see
+  // SearchMode).
   SearchMode search_mode = SearchMode::kPartitioned;
   // Run analysis::AnalyzeAndStrip first and sample the reduced automaton.
   // Dead structure carries no control lassos, so the estimate is

@@ -54,7 +54,8 @@ struct QueryRequest {
                                  //   --timeout 0ms does)
   // Lasso-check workers (as rav_cli --threads).
   int threads = kDefaultSearchWorkers;
-  // Lasso-engine work sharing (as rav_cli --search-mode).
+  // Accepted on the wire only as "partitioned" and never read; kept only
+  // because perfbench/src/replay.cc reads it (see SearchMode).
   SearchMode search_mode = SearchMode::kPartitioned;
 };
 

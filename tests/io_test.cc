@@ -138,6 +138,27 @@ TEST(TextFormatTest, RejectsOutOfRangeNumbers) {
   EXPECT_FALSE(bad.ok());
 }
 
+// Fuzz-found: a register count whose 2k guard elements overflow int
+// aborted the process in the guard builder instead of failing the parse.
+TEST(TextFormatTest, RejectsRegisterCountsThatOverflowTheGuardElements) {
+  for (const char* count : {"1587590703", "1073741824"}) {
+    SCOPED_TRACE(count);
+    auto bad = ParseExtendedAutomaton(
+        std::string("automaton {\n  registers ") + count +
+        "\n  state q initial final\n  transition q -> q { x1 = y1 }\n}");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_NE(bad.status().message().find("(2:3)"), std::string::npos)
+        << bad.status().message();
+    EXPECT_NE(bad.status().message().find(count), std::string::npos)
+        << bad.status().message();
+  }
+  // The schema's constants count too: 2k alone fits, 2k + 2 does not.
+  auto bad = ParseExtendedAutomaton(
+      "automaton { registers 1073741823 schema { constant a constant b } "
+      "state q initial final }");
+  EXPECT_FALSE(bad.ok());
+}
+
 // Fuzz-found: an overlong register index threw std::out_of_range out of
 // the parser (one request killed rav_serve), and a letter tail after the
 // index was dropped silently ("x1abc" read as "x1").

@@ -742,6 +742,90 @@ TEST(ParallelSearch, ZeroWorkersMeansHardwareConcurrency) {
   EXPECT_GE(result->stats.workers, 1);
 }
 
+Dfa RandomConstraintDfa(std::mt19937& rng, int alphabet_size) {
+  std::uniform_int_distribution<int> num_states_dist(1, 5);
+  const int n = num_states_dist(rng);
+  std::uniform_int_distribution<int> state_dist(0, n - 1);
+  Dfa dfa(alphabet_size, n, state_dist(rng));
+  std::uniform_int_distribution<int> accept_dist(0, 3);
+  for (int s = 0; s < n; ++s) {
+    for (int a = 0; a < alphabet_size; ++a) {
+      dfa.SetTransition(s, a, state_dist(rng));
+    }
+    dfa.SetAccepting(s, accept_dist(rng) == 0);
+  }
+  return dfa;
+}
+
+// A completed, schema-free ERA with one to three random constraints over
+// its control states.
+ExtendedAutomaton RandomCompleteEra(std::mt19937& rng) {
+  RandomAutomatonOptions options;
+  options.num_registers = std::uniform_int_distribution<int>(1, 3)(rng);
+  options.num_states = std::uniform_int_distribution<int>(2, 4)(rng);
+  options.num_transitions = 2 * options.num_states;
+  RegisterAutomaton a = RandomAutomaton(rng, options);
+  Result<RegisterAutomaton> completed = Completed(a);
+  RAV_CHECK(completed.ok());
+  const int num_states = completed->num_states();
+  const int k = completed->num_registers();
+  ExtendedAutomaton era(*std::move(completed));
+  std::uniform_int_distribution<int> reg_pick(0, k - 1);
+  std::uniform_int_distribution<int> coin(0, 1);
+  const int nc = std::uniform_int_distribution<int>(1, 3)(rng);
+  for (int c = 0; c < nc; ++c) {
+    const RegisterPair regs{RegisterId(reg_pick(rng)),
+                            RegisterId(reg_pick(rng))};
+    RAV_CHECK(era.AddConstraintDfa(regs, /*is_equality=*/coin(rng) == 1,
+                                   RandomConstraintDfa(rng, num_states))
+                  .ok());
+  }
+  return era;
+}
+
+// On random ERAs every worker count agrees with the 1-worker search on
+// verdict, stop reason, truncation, and the witness's spelling, and every
+// witness realizes over a finite database.
+TEST(ParallelSearch, RandomErasAgreeAcrossWorkers) {
+  std::mt19937 rng(20260809);
+  size_t nonempty_seen = 0;
+  for (int iteration = 0; iteration < 100; ++iteration) {
+    SCOPED_TRACE(IndexedName("iteration ", iteration));
+    ExtendedAutomaton era = RandomCompleteEra(rng);
+    ControlAlphabet alphabet(era.automaton());
+    EraEmptinessOptions options;
+    options.max_lassos = 200;
+    options.max_search_steps = 20000;
+    options.num_workers = 1;
+    auto serial = CheckEraEmptiness(era, alphabet, options);
+    ASSERT_TRUE(serial.ok());
+    if (serial->nonempty) {
+      ++nonempty_seen;
+      const LassoWord& word = serial->control_word;
+      const size_t window =
+          word.prefix.size() + word.cycle.size() * SuggestedPumpCount(era);
+      auto witness = RealizeEraWitness(era, alphabet, word, window);
+      EXPECT_TRUE(witness.ok()) << witness.status().ToString();
+    }
+    for (int workers = 2; workers <= 4; ++workers) {
+      options.num_workers = workers;
+      auto parallel = CheckEraEmptiness(era, alphabet, options);
+      ASSERT_TRUE(parallel.ok());
+      EXPECT_EQ(parallel->nonempty, serial->nonempty) << workers;
+      EXPECT_EQ(parallel->stats.stop_reason, serial->stats.stop_reason)
+          << workers;
+      EXPECT_EQ(parallel->search_truncated, serial->search_truncated)
+          << workers;
+      EXPECT_EQ(parallel->control_word.ToString(),
+                serial->control_word.ToString())
+          << workers;
+    }
+  }
+  // The generator must exercise both verdicts for the check to mean much.
+  EXPECT_GT(nonempty_seen, 10u);
+  EXPECT_LT(nonempty_seen, 90u);
+}
+
 TEST(ParallelSearch, StatsToStringMentionsStopReason) {
   SearchStats stats;
   stats.stop_reason = SearchStopReason::kStepBudget;

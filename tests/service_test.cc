@@ -203,6 +203,26 @@ TEST(ParseRequestTest, RejectionsNameTheField) {
                 .find("threads"), std::string::npos);
 }
 
+// search_mode is a one-value compatibility field: "partitioned" parses,
+// anything else is rejected naming the field and the valid value.
+TEST(ParseRequestTest, SearchModeAcceptsOnlyPartitioned) {
+  EXPECT_TRUE(ParseRequest(RequestLine(R"("id": "r", "op": "empty",
+                                          "spec": "x",
+                                          "search_mode": "partitioned")"))
+                  .ok());
+  for (const char* mode : {"shared", "shared-visited", "bogus"}) {
+    Result<QueryRequest> r = ParseRequest(RequestLine(
+        std::string(R"("id": "r", "op": "empty", "spec": "x", "search_mode": ")") +
+        mode + "\""));
+    ASSERT_FALSE(r.ok()) << mode;
+    EXPECT_NE(r.status().message().find(
+                  "search_mode: unknown mode '" + std::string(mode) +
+                  "' — valid modes: partitioned"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 TEST(ParseRequestTest, FailpointRejectsTheRequest) {
   failpoints::Arm("service/parse_request", 1);
   Result<QueryRequest> request =
@@ -274,6 +294,22 @@ TEST(ServiceTest, MalformedRegisterTermIsAnErrorResponse) {
       service.Handle(SpecRequest("r2", Op::kEmpty, kPingPong));
   EXPECT_TRUE(next.ok) << next.error;
   EXPECT_EQ(next.verdict, "NONEMPTY");
+}
+
+// A register count whose guard elements overflow int used to abort the
+// process in the guard builder; it must come back as a parse error, and
+// the service must answer the next request.
+TEST(ServiceTest, OverflowingRegisterCountIsAnErrorResponse) {
+  Service service;
+  QueryResponse bad = service.Handle(SpecRequest(
+      "r1", Op::kInfo,
+      "automaton { registers 1587590703 state q initial final "
+      "transition q -> q { x1 = y1 } }"));
+  EXPECT_FALSE(bad.ok);
+  EXPECT_NE(bad.error.find("1587590703"), std::string::npos) << bad.error;
+  EXPECT_EQ(bad.exit_equivalent, 1);
+  QueryResponse next = service.Handle(SpecRequest("r2", Op::kInfo, kPingPong));
+  EXPECT_TRUE(next.ok) << next.error;
 }
 
 TEST(ServiceTest, UnknownSpecHashIsANamedError) {

@@ -4,18 +4,11 @@
 //   rav_cli info <file>                 print a summary of the automaton
 //   rav_cli print <file>                round-trip through the text format
 //   rav_cli dot <file>                  Graphviz rendering to stdout
-//   rav_cli empty <file> [--threads N] [--search-mode <mode>]
-//                                       emptiness over finite databases;
+//   rav_cli empty <file> [--threads N]  emptiness over finite databases;
 //                                       N > 1 checks candidate lassos on a
 //                                       worker pool (default N = 1, serial:
 //                                       kDefaultSearchWorkers; same
-//                                       verdict/witness). --search-mode
-//                                       partitioned|shared picks the
-//                                       work-sharing engine: partitioned
-//                                       (default) is the deterministic
-//                                       reference, shared dedups candidates
-//                                       through a concurrent visited set
-//                                       (docs/search.md)
+//                                       verdict/witness; docs/search.md)
 //   rav_cli project <file> <m>          projection onto registers 1..m
 //   rav_cli lrbound <file>              LR-boundedness estimation
 //   rav_cli simulate <file> <steps>     sample and print a run
@@ -73,7 +66,6 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -592,17 +584,9 @@ int RunCommand(const std::vector<std::string>& args) {
         if (*threads < 0) return Fail("empty --threads must be >= 0");
         empty_options.num_workers = *threads;
         ++i;
-      } else if (std::string(argv[i]) == "--search-mode" && i + 1 < argc) {
-        std::optional<SearchMode> mode = ParseSearchMode(argv[i + 1]);
-        if (!mode.has_value()) {
-          return Fail("empty --search-mode must be 'partitioned' or 'shared'");
-        }
-        empty_options.search_mode = *mode;
-        ++i;
       } else {
         return Fail("empty: unknown argument '" + std::string(argv[i]) +
-                    "' (supported: --threads N, --search-mode "
-                    "<partitioned|shared>)");
+                    "' (supported: --threads N)");
       }
     }
   }
